@@ -26,7 +26,7 @@ drive the same algorithm with a discrete-event-simulated edge instead
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol
+from typing import Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -34,31 +34,108 @@ from repro.core.meanfield import MeanFieldMap
 from repro.obs.context import resolve_recorder
 from repro.obs.recorder import Recorder
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import (
-    check_int_positive,
-    check_positive,
-    check_unit_interval,
-)
+from repro.utils.validation import check_int_positive, check_unit_interval
 
 #: Tolerance for the oscillation test ``γ̂_t == γ̂_{t−2}`` — exact equality
 #: is the paper's condition; floating point needs a hair of slack.
 _OSCILLATION_TOL = 1e-12
 
+#: Moves in a row repeating the previous move's direction after which
+#: :func:`regrow_rule` lets a shrunk step grow back.
+_REGROW_PATIENCE = 4
+
+#: ``rule(t, step, counter, oscillated, direction) -> (step, counter)``:
+#: the step size ``η`` and shrink divisor ``L`` after the ``t``-th Eq. 4
+#: move, which went in ``direction`` (+1, −1, or 0 when γ̂ held) and
+#: ``oscillated`` when it returned γ̂ to ``γ̂_{t−2}``.
+StepRule = Callable[[int, float, float, bool, float], Tuple[float, float]]
+
+
+def paper_rule(initial_step: float) -> StepRule:
+    """Algorithm 1: shrink to η₀/L only on detected oscillation."""
+
+    def rule(t, step, counter, oscillated, direction):
+        if oscillated:
+            counter += 1
+            return initial_step / counter, counter
+        return step, counter
+
+    return rule
+
+
+def constant_rule(initial_step: float) -> StepRule:
+    """Never shrink — the estimate ends up oscillating in a ±η band."""
+
+    def rule(t, step, counter, oscillated, direction):
+        return initial_step, counter
+
+    return rule
+
+
+def robbins_monro_rule(initial_step: float) -> StepRule:
+    """η_t = η₀ / t — classical stochastic approximation decay."""
+
+    def rule(t, step, counter, oscillated, direction):
+        return initial_step / max(t, 1), counter
+
+    return rule
+
+
+def regrow_rule(initial_step: float) -> StepRule:
+    """The paper's rule plus a trust-region escape for a moving target.
+
+    In the multi-edge game a site's target moves while the other sites
+    converge (users switch sites), so a step that only ever shrinks can
+    strand the site far from it. Once ``_REGROW_PATIENCE`` moves in a row
+    have repeated the previous move's direction, the divisor ``L`` halves
+    (floored at 1) and the step grows back toward η₀; on a static target
+    it steps as the paper's rule does. The rule remembers the move
+    streak, so build one per stepper.
+    """
+    shrink = paper_rule(initial_step)
+    streak = 0
+    last_direction = 0.0
+
+    def rule(t, step, counter, oscillated, direction):
+        nonlocal streak, last_direction
+        step, counter = shrink(t, step, counter, oscillated, direction)
+        persisting = direction != 0.0 and direction == last_direction
+        streak = streak + 1 if persisting else 0
+        last_direction = direction
+        if streak >= _REGROW_PATIENCE:
+            counter = max(1.0, counter / 2.0)
+            step = initial_step / counter
+            streak = 0
+        return step, counter
+
+    return rule
+
 
 class DtuStepper:
-    """The Eq. 4 sign-step with the lines-9–14 oscillation bookkeeping.
+    """The Eq. 4 sign step with the lines-9–14 step-size bookkeeping.
 
     A pure state machine over the estimate sequence — no population, no
-    oracle, no I/O — shared by the three executions of Algorithm 1 in this
-    repository: the synchronous iteration loop (:func:`run_dtu`), the
-    continuous-time run (:class:`repro.simulation.online.OnlineSimulation`),
-    and the message-passing coordinator
-    (:class:`repro.net.actors.EdgeCoordinator`).
+    oracle, no I/O — and the only code in this repository that moves γ̂.
+    Its callers:
+
+    * :func:`run_dtu`, the synchronous iteration loop (also behind
+      :func:`repro.experiments.robustness.run_dtu_with_stale_broadcast`);
+    * :class:`repro.simulation.online.OnlineSimulation`, continuous time;
+    * :class:`repro.net.actors.EdgeCoordinator`, the message-passing edge,
+      and through it :class:`repro.net.sharded.SiteCoordinator` (one per
+      site) and the served :class:`repro.serve.service.ServingCoordinator`;
+    * :func:`repro.workload.tracking.track_equilibrium`, a moving target;
+    * :func:`repro.core.multiedge.run_multiedge_dtu`, one stepper per site
+      with :func:`regrow_rule`;
+    * :func:`repro.core.dtu_variants.run_with_step_rule`, the step-rule
+      comparison;
+    * :func:`repro.experiments.learning.run`, the blind DTU.
 
     State after ``t`` calls to :meth:`update`: ``estimate`` is ``γ̂_t``,
     the hidden previous value is ``γ̂_{t−1}`` (initialised to the
     algorithm's ``γ̂_{−1} = 1``), ``step`` is the current ``η`` and
-    ``counter`` the shrink divisor ``L``.
+    ``counter`` the shrink divisor ``L``. ``step_rule`` sets ``η`` and
+    ``L`` after each move; the default is the paper's :func:`paper_rule`.
     """
 
     def __init__(
@@ -66,11 +143,15 @@ class DtuStepper:
         initial_step: float = 0.1,
         tolerance: float = 1e-2,
         initial_estimate: float = 0.0,
+        step_rule: Optional[StepRule] = None,
     ):
         check_unit_interval("initial_step", initial_step, open_left=True)
+        check_unit_interval("tolerance", tolerance,
+                            open_left=True, open_right=True)
         check_unit_interval("initial_estimate", initial_estimate)
         self.initial_step = float(initial_step)
         self.tolerance = float(tolerance)
+        self.step_rule = step_rule or paper_rule(self.initial_step)
         self.estimate = float(initial_estimate)   # γ̂_t
         self.previous = 1.0                       # γ̂_{t−1}; starts at γ̂_{−1}
         self.step = float(initial_step)           # η_t
@@ -85,27 +166,28 @@ class DtuStepper:
     def update(self, actual: float) -> float:
         """Move γ̂ one sign step toward ``actual`` (Eq. 4); return new γ̂.
 
-        Also applies the oscillation rule: when the new estimate returns to
-        ``γ̂_{t−2}`` the step size shrinks to ``η₀ / L`` with ``L``
-        incremented. Returns the new estimate (also left in ``estimate``);
-        whether this call shrank is exposed as :attr:`shrank`.
+        Then the step rule sets the next ``η`` and ``L``: the paper's
+        shrinks the step to ``η₀ / L`` with ``L`` incremented when the new
+        estimate returns to ``γ̂_{t−2}``. Returns the new estimate (also
+        left in ``estimate``); whether this call oscillated is exposed as
+        :attr:`shrank`.
         """
         diff = actual - self.estimate
         if abs(diff) <= _OSCILLATION_TOL:
-            new = self.estimate
+            direction, new = 0.0, self.estimate
         else:
             direction = 1.0 if diff > 0 else -1.0
             new = min(1.0, max(0.0, self.estimate + self.step * direction))
         self.updates += 1
         self.shrank = (self.updates >= 2
                        and abs(new - self.previous) <= _OSCILLATION_TOL)
-        if self.shrank:
-            self.counter += 1
-            self.step = self.initial_step / self.counter
+        self.step, self.counter = self.step_rule(
+            self.updates, self.step, self.counter, self.shrank, direction)
         self.previous, self.estimate = self.estimate, new
         return new
 
-    #: Whether the most recent :meth:`update` triggered the η₀/L shrink.
+    #: Whether the most recent :meth:`update` returned γ̂ to ``γ̂_{t−2}``
+    #: (the paper's rule shrinks η to η₀/L then).
     shrank = False
 
     def retarget(self) -> None:
@@ -179,7 +261,6 @@ class DtuConfig:
         check_int_positive("max_iterations", self.max_iterations)
         check_unit_interval("update_probability", self.update_probability,
                             open_left=True)
-        check_positive("initial_step", self.initial_step)
 
 
 @dataclass

@@ -12,52 +12,28 @@ the target (γ̂_t = γ̂_{t−2}). Two natural alternatives frame it:
 
 The paper's rule gets both halves right: full-speed approach, then
 data-triggered decay. :func:`compare_step_rules` quantifies the trade-off
-on one population.
+on one population. The rules themselves live beside the stepper they
+plug into, in :mod:`repro.core.dtu`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.dtu import AnalyticUtilizationOracle, UtilizationOracle
+from repro.core.dtu import (
+    AnalyticUtilizationOracle,
+    DtuStepper,
+    StepRule,
+    UtilizationOracle,
+    constant_rule,
+    paper_rule,
+    robbins_monro_rule,
+)
 from repro.core.meanfield import MeanFieldMap
 from repro.utils.validation import check_int_positive
-
-#: step_rule(t, step, counter, oscillated) -> (new_step, new_counter)
-StepRule = Callable[[int, float, int, bool], tuple]
-
-
-def paper_rule(initial_step: float) -> StepRule:
-    """Algorithm 1: shrink to η₀/L only on detected oscillation."""
-
-    def rule(t, step, counter, oscillated):
-        if oscillated:
-            counter += 1
-            return initial_step / counter, counter
-        return step, counter
-
-    return rule
-
-
-def constant_rule(initial_step: float) -> StepRule:
-    """Never shrink — the estimate ends up oscillating in a ±η band."""
-
-    def rule(t, step, counter, oscillated):
-        return initial_step, counter
-
-    return rule
-
-
-def robbins_monro_rule(initial_step: float) -> StepRule:
-    """η_t = η₀ / t — classical stochastic approximation decay."""
-
-    def rule(t, step, counter, oscillated):
-        return initial_step / max(t, 1), counter
-
-    return rule
 
 
 @dataclass(frozen=True)
@@ -80,31 +56,19 @@ def run_with_step_rule(
 ) -> np.ndarray:
     """Run the DTU loop with a pluggable step rule; returns the γ̂ series.
 
-    Identical to Algorithm 1 except the step update is delegated to
+    Algorithm 1 on a :class:`~repro.core.dtu.DtuStepper` built with
     ``rule`` (no ε-stopping — the fixed horizon makes variants comparable).
     """
     check_int_positive("iterations", iterations)
     oracle = oracle or AnalyticUtilizationOracle(mean_field)
-    estimate = float(initial_estimate)
-    estimate_prev = 1.0
-    step = initial_step
-    counter = 1
-    thresholds = mean_field.best_response(estimate).astype(float)
-    actual = oracle.measure(thresholds)
+    stepper = DtuStepper(initial_step=initial_step,
+                         initial_estimate=initial_estimate, step_rule=rule)
+    estimate = stepper.estimate
     estimates: List[float] = [estimate]
-    for t in range(1, iterations + 1):
-        diff = actual - estimate
-        if abs(diff) <= 1e-12:
-            new_estimate = estimate
-        else:
-            new_estimate = min(1.0, max(
-                0.0, estimate + step * float(np.sign(diff))))
-        thresholds = mean_field.best_response(new_estimate).astype(float)
-        oscillated = t >= 2 and abs(new_estimate - estimate_prev) <= 1e-12
-        step, counter = rule(t, step, counter, oscillated)
-        actual = oracle.measure(thresholds)
-        estimate_prev = estimate
-        estimate = new_estimate
+    for _ in range(iterations):
+        actual = oracle.measure(
+            mean_field.best_response(estimate).astype(float))
+        estimate = stepper.update(actual)
         estimates.append(estimate)
     return np.asarray(estimates)
 

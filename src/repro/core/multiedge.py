@@ -52,7 +52,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.best_response import best_response_thresholds
-from repro.core.dtu import DtuConfig, run_dtu
+from repro.core.dtu import DtuConfig, DtuStepper, regrow_rule, run_dtu
 from repro.core.edge_delay import EdgeDelayModel, LinearDelay, ReciprocalDelay
 from repro.core.equilibrium import solve_mfne
 from repro.core.kernels import CompiledMeanField
@@ -525,31 +525,24 @@ def run_multiedge_dtu(
 ) -> MultiEdgeDtuResult:
     """Algorithm 1 generalised: per-site estimated utilisations.
 
-    Each site maintains its own γ̂_j with the paper's sign-step update and
-    oscillation-shrunk step size; every iteration the sites broadcast the
-    whole vector and users best-respond (site choice + threshold) to it.
+    Each site keeps its own γ̂_j on a :class:`~repro.core.dtu.DtuStepper`
+    with :func:`~repro.core.dtu.regrow_rule` (a site's target moves as
+    users switch sites); every iteration the sites broadcast the whole
+    vector and users best-respond (site choice + threshold) to it.
 
-    One departure from the scalar algorithm is required: in the vector
-    game a site's target moves while the others converge (users switch
-    sites), so a step size that only ever shrinks can strand a site far
-    from its moving target. After ``_REGROW_PATIENCE`` consecutive
-    same-direction moves a site's step is allowed to grow back (capped at
-    ``initial_step``) — a trust-region-style escape that preserves the
-    scalar behaviour when the target is static.
+    ``converged`` certifies only the stop test — every site's last move
+    was within ``tolerance`` — not that γ̂ is at equilibrium; DESIGN.md
+    §13 records how far apart the two can be.
 
     A single-site system that is well posed as the scalar model delegates
     to :func:`~repro.core.dtu.run_dtu` and reproduces its γ̂ trajectory
-    bit-identically (the regrow escape never fires in the scalar
-    algorithm's place).
+    bit-identically.
     """
-    if not 0.0 < initial_step <= 1.0:
-        raise ValueError("initial_step must be in (0, 1]")
-
+    config = DtuConfig(initial_step=initial_step, tolerance=tolerance,
+                       max_iterations=max_iterations)
     single = system.as_single_site()
     if single is not None:
-        scalar = run_dtu(single, DtuConfig(
-            initial_step=initial_step, tolerance=tolerance,
-            max_iterations=max_iterations))
+        scalar = run_dtu(single, config)
         trace = MultiEdgeDtuTrace(
             estimated=[np.array([g])
                        for g in scalar.trace.estimated_utilization],
@@ -565,62 +558,34 @@ def run_multiedge_dtu(
             trace=trace,
         )
 
-    _REGROW_PATIENCE = 4
-    m = system.n_sites
-    trace = MultiEdgeDtuTrace()
-    estimates = np.zeros(m)          # γ̂_{t-1}
-    estimates_prev = np.ones(m)      # γ̂_{t-2}
-    steps = np.full(m, initial_step)
-    counters = np.ones(m)
-    same_direction = np.zeros(m)
-    last_direction = np.zeros(m)
-
+    steppers = [
+        DtuStepper(config.initial_step, config.tolerance,
+                   step_rule=regrow_rule(config.initial_step))
+        for _ in system.sites
+    ]
+    estimates = np.array([stepper.estimate for stepper in steppers])
     site_indices, thresholds = system.best_response(estimates)
     actual = system.utilizations(site_indices, thresholds)
-    trace.estimated.append(estimates.copy())
-    trace.actual.append(actual.copy())
+    trace = MultiEdgeDtuTrace(estimated=[estimates], actual=[actual])
 
     iterations = 0
     converged = False
-    for t in range(1, max_iterations + 1):
-        if float(np.abs(estimates - estimates_prev).max()) <= tolerance:
+    for t in range(1, config.max_iterations + 1):
+        if all(stepper.converged for stepper in steppers):
             converged = True
             break
         iterations = t
-        diff = actual - estimates
-        direction = np.sign(diff)
-        new_estimates = np.clip(estimates + steps * direction, 0.0, 1.0)
-
-        site_indices, thresholds = system.best_response(new_estimates)
-
-        # The paper's rule: γ̂_t == γ̂_{t−2} means the target is bracketed.
-        oscillated = (t >= 2) & (np.abs(new_estimates - estimates_prev)
-                                 <= 1e-12)
-        counters[oscillated] += 1.0
-        steps[oscillated] = initial_step / counters[oscillated]
-
-        # Trust-region escape: persistent same-direction movement means the
-        # step is too small for a moving target — let it grow back.
-        persisting = (direction != 0) & (direction == last_direction)
-        same_direction = np.where(persisting, same_direction + 1, 0.0)
-        regrow = same_direction >= _REGROW_PATIENCE
-        if np.any(regrow):
-            counters[regrow] = np.maximum(1.0, counters[regrow] / 2.0)
-            steps[regrow] = np.minimum(initial_step,
-                                       initial_step / counters[regrow])
-            same_direction[regrow] = 0.0
-        last_direction = direction
-
+        estimates = np.array([stepper.update(gamma)
+                              for stepper, gamma in zip(steppers, actual)])
+        site_indices, thresholds = system.best_response(estimates)
         actual = system.utilizations(site_indices, thresholds)
-        estimates_prev = estimates.copy()
-        estimates = new_estimates
-        trace.estimated.append(estimates.copy())
-        trace.actual.append(actual.copy())
+        trace.estimated.append(estimates)
+        trace.actual.append(actual)
 
     obs = get_recorder()
     if obs.enabled:
-        obs.event("multiedge.dtu_done", n_sites=m, iterations=iterations,
-                  converged=converged)
+        obs.event("multiedge.dtu_done", n_sites=system.n_sites,
+                  iterations=iterations, converged=converged)
     return MultiEdgeDtuResult(
         estimated_utilizations=estimates,
         actual_utilizations=actual,

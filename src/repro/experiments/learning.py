@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.dtu import DtuStepper
 from repro.core.equilibrium import solve_mfne
 from repro.core.estimation import EstimatedBestResponder
 from repro.core.meanfield import MeanFieldMap
@@ -74,12 +75,10 @@ def run(
                                        prior_service=2.0)
     seed_stream = factory.stream("windows")
 
-    # DTU state (Algorithm 1 with the estimation-aware best response).
-    estimate = 0.0
-    estimate_prev = 1.0
-    step = initial_step
-    counter = 1
-    thresholds = responder.best_response(estimate, PAPER_G(estimate))
+    # Algorithm 1 with the estimation-aware best response.
+    stepper = DtuStepper(initial_step=initial_step)
+    thresholds = responder.best_response(stepper.estimate,
+                                         PAPER_G(stepper.estimate))
     rows = []
     actual = 0.0
     for t in range(iterations):
@@ -93,18 +92,9 @@ def run(
         responder.observe(measurement.device_stats)
         actual = measurement.utilization
         a_err, s_err = responder.estimation_errors()
-        rows.append((t, float(estimate), float(actual),
+        rows.append((t, stepper.estimate, float(actual),
                      float(np.median(a_err)), float(np.median(s_err))))
-
-        # Eq. (4) update and the step-size rule.
-        diff = actual - estimate
-        new_estimate = estimate if abs(diff) <= 1e-12 else \
-            min(1.0, max(0.0, estimate + step * np.sign(diff)))
-        if t >= 2 and abs(new_estimate - estimate_prev) <= 1e-12:
-            counter += 1
-            step = initial_step / counter
-        estimate_prev = estimate
-        estimate = new_estimate
+        estimate = stepper.update(actual)
         thresholds = responder.best_response(estimate, PAPER_G(estimate))
 
     a_err, s_err = responder.estimation_errors()

@@ -157,6 +157,26 @@ def churn_sweep(
     )
 
 
+class StaleBroadcastMap(MeanFieldMap):
+    """A mean-field map whose users hear every γ̂ broadcast late.
+
+    :func:`~repro.core.dtu.run_dtu` asks for the best response to γ̂_0
+    and then to each new γ̂_t; this map keeps the broadcasts and answers
+    γ̂_{max(t−delay, 0)} instead — the propagation delay between the edge
+    and its users, measured in DTU iterations.
+    """
+
+    def __init__(self, mean_field: MeanFieldMap, delay: int):
+        super().__init__(mean_field.population, mean_field.delay_model)
+        self.delay = delay
+        self.broadcasts: List[float] = []
+
+    def best_response(self, utilization: float) -> np.ndarray:
+        self.broadcasts.append(utilization)
+        t = len(self.broadcasts) - 1
+        return super().best_response(self.broadcasts[max(t - self.delay, 0)])
+
+
 def run_dtu_with_stale_broadcast(
     mean_field: MeanFieldMap,
     delay: int,
@@ -164,50 +184,17 @@ def run_dtu_with_stale_broadcast(
 ) -> dict:
     """Algorithm 1, but users receive γ̂ ``delay`` iterations late.
 
-    A small purpose-built loop (run_dtu assumes fresh broadcasts): the edge
-    updates γ̂_t as usual, but thresholds at iteration t best-respond to
-    γ̂_{max(t−delay, 0)}.
+    The edge updates γ̂_t as usual, but thresholds at iteration t
+    best-respond to γ̂_{max(t−delay, 0)} (see :class:`StaleBroadcastMap`).
     """
     if delay < 0:
         raise ValueError("delay must be >= 0")
-    config = config or DtuConfig()
-    oracle = AnalyticUtilizationOracle(mean_field)
-
-    estimates = [0.0]                      # γ̂_0
-    estimate_prev2 = 1.0
-    step = config.initial_step
-    counter = 1
-    thresholds = mean_field.best_response(0.0).astype(float)
-    actual = oracle.measure(thresholds)
-    iterations = 0
-    converged = False
-    for t in range(1, config.max_iterations + 1):
-        if abs(estimates[-1] - estimate_prev2) <= config.tolerance:
-            converged = True
-            break
-        iterations = t
-        diff = actual - estimates[-1]
-        if abs(diff) <= 1e-12:
-            estimate = estimates[-1]
-        else:
-            direction = 1.0 if diff > 0 else -1.0
-            estimate = min(1.0, max(0.0, estimates[-1] + step * direction))
-        # Stale broadcast: users see the estimate from `delay` steps back.
-        stale_index = max(0, len(estimates) - delay)
-        seen = estimate if delay == 0 else estimates[stale_index - 1] \
-            if stale_index >= 1 else estimates[0]
-        thresholds = mean_field.best_response(seen).astype(float)
-        if t >= 2 and abs(estimate - estimate_prev2) <= 1e-12:
-            counter += 1
-            step = config.initial_step / counter
-        actual = oracle.measure(thresholds)
-        estimate_prev2 = estimates[-1]
-        estimates.append(estimate)
+    result = run_dtu(StaleBroadcastMap(mean_field, delay), config)
     return {
-        "iterations": iterations,
-        "converged": converged,
-        "final_actual": actual,
-        "estimates": estimates,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "final_actual": result.actual_utilization,
+        "estimates": result.trace.estimated_utilization,
     }
 
 

@@ -274,6 +274,7 @@ class EdgeCoordinator:
         config = self.config
         wait = config.report_timeout
         for _ in range(config.max_rounds):
+            self._before_broadcast()
             self._broadcast()
             await self.runtime.sleep(wait)
             self._drain()
@@ -286,13 +287,14 @@ class EdgeCoordinator:
                 if self._obs.enabled:
                     self._obs.count("net.silent_rounds")
                     self._obs.event("net.silence", round=self.round,
-                                    next_wait=wait, eta=self.stepper.step)
+                                    **self._event_tags, next_wait=wait,
+                                    eta=self.stepper.step)
                 self._close_round_span("silent")
             else:
                 self.final_measured = measured
                 self._record(measured)
                 self._close_round_span("measured", measured=measured)
-                if self.stepper.converged:
+                if self._stop_test():
                     self.converged = True
                     # A long-lived serving coordinator (repro.serve) keeps
                     # re-estimating after convergence so γ̂ tracks a
@@ -303,6 +305,22 @@ class EdgeCoordinator:
                 self.iterations += 1
                 self.stepper.update(measured)
                 wait = config.report_timeout
+        self._finish()
+
+    # -- round-loop hooks (the sharded SiteCoordinator overrides these) ---
+
+    #: Extra tags on this coordinator's silence events.
+    _event_tags: Dict[str, int] = {}
+
+    def _before_broadcast(self) -> None:
+        """Hook: work a round does before its broadcast; none here."""
+
+    def _stop_test(self) -> bool:
+        """Hook: the Algorithm-1 stop test, checked after each measurement."""
+        return self.stepper.converged
+
+    def _finish(self) -> None:
+        """Hook: the round loop ended; a lone coordinator stops the run."""
         self.runtime.stop()
 
     # -- protocol steps --------------------------------------------------

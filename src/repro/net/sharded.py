@@ -288,14 +288,16 @@ class _ShardController:
 class SiteCoordinator(EdgeCoordinator):
     """One site's coordinator: the single-site round loop plus a backbone.
 
-    The broadcast/measure/sign-step cycle is inherited unchanged; this
-    subclass adds (a) γ̂ gossip and delay probes to the peer sites each
-    round, (b) dynamic membership (migrating devices join and leave), and
-    (c) a member-share scaling of the measured utilisation — site ``j``
-    serves ``members_j`` of the fleet's ``N`` devices against capacity
-    ``N·c_j``, so ``γ_j = mean(rates)·(members_j/N)/c_j``. With one site
-    and full membership the factor is exactly 1.0 and the measurement is
-    bit-equal to the single-site coordinator's.
+    The broadcast/measure/sign-step loop is inherited unchanged; this
+    subclass fills its three hooks (γ̂ gossip and delay probes to the peer
+    sites before each broadcast, a stop test that is global across sites,
+    and controller bookkeeping at the end) and adds dynamic membership
+    (migrating devices join and leave) and a member-share scaling of the
+    measured utilisation: site ``j`` serves ``members_j`` of the fleet's
+    ``N`` devices against capacity ``N·c_j``, so
+    ``γ_j = mean(rates)·(members_j/N)/c_j``. With one site and full
+    membership the factor is exactly 1.0 and the measurement is bit-equal
+    to the single-site coordinator's.
     """
 
     def __init__(
@@ -321,6 +323,7 @@ class SiteCoordinator(EdgeCoordinator):
             address=site_address(site),
         )
         self.site = site
+        self._event_tags = {"site": site}
         self.n_sites = n_sites
         self.n_total = n_total
         self.controller = controller
@@ -337,41 +340,22 @@ class SiteCoordinator(EdgeCoordinator):
         self.delay_estimates[site] = 0.0
         self.final_members = len(self.known)
 
-    async def run(self) -> None:
-        config = self.config
-        wait = config.report_timeout
-        for turn in range(config.max_rounds):
-            if config.probe_interval and turn % config.probe_interval == 0:
-                self._probe_peers()
-            self._gossip()
-            self._broadcast()
-            await self.runtime.sleep(wait)
-            self._drain()
-            measured = self._measure(self.runtime.now)
-            if measured is None:
-                self.silent_rounds += 1
-                self.stepper.decay(config.silence_decay)
-                wait = min(wait * config.backoff, config.max_backoff)
-                if self._obs.enabled:
-                    self._obs.count("net.silent_rounds")
-                    self._obs.event("net.silence", round=self.round,
-                                    site=self.site, next_wait=wait,
-                                    eta=self.stepper.step)
-                self._close_round_span("silent")
-            else:
-                self.final_measured = measured
-                self._record(measured)
-                self._close_round_span("measured", measured=measured)
-                # The convergence test is global: this site may be inside
-                # tolerance while a peer — and therefore this site's own
-                # moving target — is not.
-                if self.stepper.converged and self.controller.all_converged():
-                    self.converged = True
-                    if getattr(config, "stop_on_convergence", True):
-                        break
-                self.iterations += 1
-                self.stepper.update(measured)
-                wait = config.report_timeout
+    # -- round-loop hooks -------------------------------------------------
+
+    def _before_broadcast(self) -> None:
+        # Before the broadcast ``self.round`` counts the rounds already run.
+        interval = self.config.probe_interval
+        if interval and self.round % interval == 0:
+            self._probe_peers()
+        self._gossip()
+
+    def _stop_test(self) -> bool:
+        # The convergence test is global: this site may be inside
+        # tolerance while a peer — and therefore this site's own moving
+        # target — is not.
+        return self.controller.all_converged()
+
+    def _finish(self) -> None:
         self.converged = self.stepper.converged
         # Snapshot membership now: peers may keep the runtime alive long
         # past this site's exit, by which time liveness windows have

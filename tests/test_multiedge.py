@@ -171,8 +171,14 @@ class TestMultiEdgeDtu:
         assert len(result.trace.estimated) >= 2
 
     def test_invalid_step(self, system):
-        with pytest.raises(ValueError):
-            run_multiedge_dtu(system, initial_step=0.0)
+        """Out-of-range inputs are rejected on the vector path exactly as
+        on the single-site one (both validate through DtuConfig)."""
+        assert system.n_sites == 3
+        for kwargs in ({"initial_step": 0.0}, {"initial_step": 1.5},
+                       {"tolerance": 1.0}, {"tolerance": 0.0},
+                       {"tolerance": -0.1}, {"max_iterations": 0}):
+            with pytest.raises(ValueError):
+                run_multiedge_dtu(system, **kwargs)
 
 
 class TestRandomSiteConfigurations:

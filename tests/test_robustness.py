@@ -79,6 +79,24 @@ class TestStaleness:
         assert all(result.column("converged"))
         assert all(gap < 0.02 for gap in result.column("final_gap"))
 
+    @pytest.mark.parametrize("delay", [1, 2])
+    def test_users_answer_the_broadcast_delay_iterations_back(
+            self, mean_field, monkeypatch, delay):
+        """Iteration t's thresholds best-respond to γ̂_{max(t−d, 0)}."""
+        answered = []
+        respond = MeanFieldMap.best_response
+
+        def recording(self, utilization):
+            answered.append(utilization)
+            return respond(self, utilization)
+
+        monkeypatch.setattr(MeanFieldMap, "best_response", recording)
+        outcome = robustness.run_dtu_with_stale_broadcast(mean_field, delay)
+        estimates = outcome["estimates"]
+        assert outcome["iterations"] >= 4
+        assert answered == [estimates[max(t - delay, 0)]
+                            for t in range(len(estimates))]
+
     def test_negative_delay_rejected(self, mean_field):
         with pytest.raises(ValueError):
             robustness.run_dtu_with_stale_broadcast(mean_field, delay=-1)
