@@ -260,8 +260,8 @@ class EdgeCoordinator:
         self._obs = resolve_recorder(recorder)
         self._left: set = set()
         self._last_heard: Dict[int, float] = {}
-        #: device -> (delivered_at, round, offload_rate, threshold)
-        self._reports: Dict[int, Tuple[float, int, float, float]] = {}
+        #: device -> (delivered_at, round, offload_rate)
+        self._reports: Dict[int, Tuple[float, int, float]] = {}
         self.trace = NetTrace()
         self.round = 0               # broadcast sequence number
         self._round_span: Optional[int] = None
@@ -381,7 +381,7 @@ class EdgeCoordinator:
             if stored is None or message.round >= stored[1]:
                 self._reports[message.device] = (
                     envelope.delivered_at, message.round,
-                    message.offload_rate, message.threshold,
+                    message.offload_rate,
                 )
         elif isinstance(message, Heartbeat):
             self._last_heard[message.device] = envelope.delivered_at
@@ -426,7 +426,7 @@ class EdgeCoordinator:
             stored = self._reports.get(device)
             if stored is None:
                 continue
-            delivered_at, report_round, rate, _ = stored
+            delivered_at, report_round, rate = stored
             # An answer to the *current* broadcast is never stale, however
             # long the (backed-off) wait was; the age window only prunes
             # left-over answers to earlier rounds.
@@ -439,10 +439,14 @@ class EdgeCoordinator:
             return None
         return float(np.mean(np.asarray(rates)) / self.capacity)
 
+    def _census(self, now: float) -> Tuple[int, int]:
+        """(devices with a stored report, live members) at ``now``."""
+        heard = len([d for d in self.known if d in self._reports])
+        return heard, len(self.members(now))
+
     def _record(self, measured: float) -> None:
         now = self.runtime.now
-        heard = len([d for d in self.known if d in self._reports])
-        members = len(self.members(now))
+        heard, members = self._census(now)
         trace = self.trace
         trace.times.append(now)
         trace.estimated.append(self.stepper.estimate)
@@ -454,11 +458,3 @@ class EdgeCoordinator:
             self._obs.event("net.round", round=self.round,
                             gamma_hat=self.stepper.estimate,
                             measured=measured, heard=heard, members=members)
-
-    @property
-    def mean_threshold(self) -> float:
-        """Mean of the last reported thresholds (diagnostic)."""
-        if not self._reports:
-            return 0.0
-        return float(np.mean([stored[3] for stored in
-                              self._reports.values()]))

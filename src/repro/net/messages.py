@@ -11,6 +11,11 @@ The single-site DTU protocol needs exactly four message kinds:
 * :class:`JoinLeave` — device → edge: graceful membership changes (churn
   *and* inter-site migration — leaving one site's fleet for another's).
 
+The serving daemon (:mod:`repro.serve`) adds one more device → edge kind:
+
+* :class:`ReportBatch` — the reports of many devices for one round, as
+  columns: one message per ``/decide`` request.
+
 The sharded multi-edge protocol (:mod:`repro.net.sharded`) adds a
 coordinator↔coordinator backbone:
 
@@ -34,6 +39,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple, Union
 
+import numpy as np
+
 Address = Union[int, str]   # devices are ints; coordinators are "edge"
                             # (single-site) or "site/<j>" (sharded)
 
@@ -55,6 +62,40 @@ class ThresholdReport:
     round: int          # the broadcast round being answered
     threshold: float    # Lemma-1 optimal x*
     offload_rate: float  # a_n · α_n(x*) — the device's offered edge load
+
+
+@dataclass(frozen=True, eq=False)
+class ReportBatch:
+    """The :class:`ThresholdReport` of many devices for one round, as columns.
+
+    Row ``i`` means ``ThresholdReport(devices[i], round, thresholds[i],
+    offload_rates[i])``, and a later row for the same device supersedes
+    an earlier one.  ``joining=True`` prefixes every row with
+    ``JoinLeave(devices[i], True)``; ``False`` leaves membership as it is.
+    The batch owns read-only copies of its columns, so a sender that
+    reuses its arrays cannot rewrite a report in flight.
+    """
+
+    devices: np.ndarray        # int64
+    round: int
+    thresholds: np.ndarray     # Lemma-1 optimal x* per row
+    offload_rates: np.ndarray  # a_n · α_n(x*) per row
+    joining: bool = False
+
+    def __post_init__(self) -> None:
+        columns = {
+            "devices": np.array(self.devices, dtype=np.int64, ndmin=1),
+            "thresholds": np.array(self.thresholds, ndmin=1),
+            "offload_rates": np.array(self.offload_rates, dtype=np.float64,
+                                      ndmin=1),
+        }
+        rows = (columns["devices"].size,)
+        for name, column in columns.items():
+            if column.shape != rows:
+                raise ValueError(f"{name} must be a column of "
+                                 f"{rows[0]} rows, got shape {column.shape}")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
 
 @dataclass(frozen=True)
@@ -116,8 +157,9 @@ class ShardBroadcast(GammaBroadcast):
     rounds: Tuple[int, ...]
 
 
-Message = Union[GammaBroadcast, ThresholdReport, Heartbeat, JoinLeave,
-                GammaGossip, DelayProbe, DelayProbeReply, ShardBroadcast]
+Message = Union[GammaBroadcast, ThresholdReport, ReportBatch, Heartbeat,
+                JoinLeave, GammaGossip, DelayProbe, DelayProbeReply,
+                ShardBroadcast]
 
 
 @dataclass(frozen=True)

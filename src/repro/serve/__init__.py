@@ -12,7 +12,9 @@ serving threshold decisions over HTTP:
   as a daemon;
 * :class:`~repro.serve.service.DecisionService` — the coordinator +
   compiled kernel pair behind a thread-safe facade: batched ``decide``
-  queries answered by one vectorised probe, ``join``/``leave`` mapped
+  queries answered by one vectorised probe as column arrays
+  (:class:`~repro.serve.service.Decisions`) and reported to the
+  coordinator as one message, ``join``/``leave`` mapped
   onto the :class:`~repro.net.messages.JoinLeave` protocol messages,
   admission control past a queue-depth watermark;
 * :class:`~repro.serve.httpd.DecisionServer` — the HTTP surface
@@ -30,6 +32,7 @@ from repro.serve.httpd import DecisionServer
 from repro.serve.replay import ReplayConfig, ReplayReport, run_replay
 from repro.serve.service import (
     AdmissionController,
+    Decisions,
     DecisionService,
     ServeConfig,
     ServingCoordinator,
@@ -39,6 +42,7 @@ from repro.serve.wallclock import WallClockDriver, WallClockTransport
 __all__ = [
     "AdmissionController",
     "DecisionServer",
+    "Decisions",
     "DecisionService",
     "ReplayConfig",
     "ReplayReport",

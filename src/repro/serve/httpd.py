@@ -18,11 +18,18 @@ GET       /healthz    200 while the coordinator loop is alive, 503 after
 GET       /metrics    Prometheus text exposition of the serve registry
 ========  ==========  ====================================================
 
-Errors map onto plain HTTP: malformed JSON or unknown device ids → 400,
-oversized batches → 413, shed load → 503 with ``Retry-After`` set to one
-round period.  Every response is JSON (except ``/metrics``) and carries
-``Content-Length``, so HTTP/1.1 keep-alive works and a replay client can
-reuse one connection per worker.
+Errors map onto plain HTTP: malformed JSON, unknown device ids or a
+``Content-Length`` that is not a byte count → 400, oversized batches or
+bodies → 413, shed load → 503 with ``Retry-After`` set to one round
+period.  A request body is never read past the size ``max_batch`` devices
+can take; a body left unread closes the connection.  Every response is
+JSON (except ``/metrics``) and carries ``Content-Length``, so HTTP/1.1
+keep-alive works and a replay client can reuse one connection per worker.
+
+The ``/decide`` body is rendered straight from the service's
+:class:`~repro.serve.service.Decisions` columns by one row template
+(:func:`encode_decisions`), byte-identical to ``json.dumps`` of the
+equivalent dict document.
 
 Request spans: constructed with ``spans=SpanCollector(...)``, the server
 records one ``serve.decide`` span per admitted request (wall time as the
@@ -38,12 +45,49 @@ from typing import Optional
 
 from repro.obs.serve import prometheus_text
 from repro.obs.spans import SpanCollector
-from repro.serve.service import DecisionService
+from repro.serve.service import Decisions, DecisionService
 from repro.utils.httpd import HttpDaemon, QuietHandler
+
+#: One decision, exactly as ``json.dumps`` writes the dict
+#: ``{"device": int, "threshold": int, "offload_probability": float,
+#: "offload_rate": float}`` (floats print as ``repr``, as json does).
+_ROW = ('{"device": %d, "threshold": %d, "offload_probability": %r, '
+        '"offload_rate": %r}')
+
+#: Request-body bytes allowed per device (an id has at most 20
+#: characters; the rest covers separators and whitespace), plus a fixed
+#: allowance for the rest of the document.
+_BODY_BYTES_PER_DEVICE = 32
+_BODY_BYTES_FIXED = 1024
+
+
+def encode_decisions(decisions: Decisions) -> bytes:
+    """The ``/decide`` body for ``decisions``, one row template per device.
+
+    Equal to ``json.dumps`` of ``{"round", "gamma", "stale",
+    "decisions": [row, ...]}`` plus a newline; a single-device query also
+    repeats its one row's fields at the top level.
+    """
+    rows = list(zip(decisions.devices.tolist(),
+                    decisions.thresholds.tolist(),
+                    decisions.offload_probabilities.tolist(),
+                    decisions.offload_rates.tolist()))
+    text = '{"round": %d, "gamma": %r, "stale": %s, "decisions": [%s]' % (
+        decisions.round, decisions.gamma,
+        "true" if decisions.stale else "false",
+        ", ".join(map(_ROW.__mod__, rows)))
+    if decisions.single:
+        text += ", " + _ROW[1:-1] % rows[0]
+    return (text + "}\n").encode("utf-8")
 
 
 class _Handler(QuietHandler):
     protocol_version = "HTTP/1.1"
+
+    def encode_json(self, document) -> bytes:
+        if isinstance(document, Decisions):
+            return encode_decisions(document)
+        return super().encode_json(document)
 
     # -- GET ---------------------------------------------------------------
 
@@ -67,18 +111,22 @@ class _Handler(QuietHandler):
 
     def do_POST(self) -> None:
         server: DecisionServer = self.server.decision_server
-        if self.path == "/decide":
-            self._decide(server)
+        length = self.body_length(server.max_body_bytes)
+        if length is None:
+            server.service.registry.inc("serve.errors")
+        elif self.path == "/decide":
+            self._decide(server, length)
         elif self.path in ("/join", "/leave"):
-            self._membership(server, joining=self.path == "/join")
+            self._membership(server, length, joining=self.path == "/join")
         else:
-            self.drain_body()
+            self.drain_body(length)
             self.send_json(404, {"error": f"unknown path {self.path}"})
 
-    def _decide(self, server: "DecisionServer") -> None:
+    def _decide(self, server: "DecisionServer", length: int) -> None:
         service = server.service
         if not service.admission.try_enter():
-            self.drain_body()    # keep-alive safety: never strand body bytes
+            # keep-alive safety: never strand body bytes
+            self.drain_body(length)
             service.registry.inc("serve.shed")
             server.span_instant("serve.shed")
             self.send_json(
@@ -90,7 +138,7 @@ class _Handler(QuietHandler):
         try:
             span = server.span_begin("serve.decide")
             try:
-                body = self.read_json_body()
+                body = self.read_json_body(length)
             except ValueError as error:
                 service.registry.inc("serve.errors")
                 server.span_close(span, "error")
@@ -124,10 +172,11 @@ class _Handler(QuietHandler):
         finally:
             service.admission.exit()
 
-    def _membership(self, server: "DecisionServer", joining: bool) -> None:
+    def _membership(self, server: "DecisionServer", length: int,
+                    joining: bool) -> None:
         service = server.service
         try:
-            body = self.read_json_body()
+            body = self.read_json_body(length)
         except ValueError as error:
             self.send_json(400, {"error": str(error)})
             return
@@ -173,6 +222,12 @@ class DecisionServer:
             _Handler, port=port, host=host,
             name="repro-decision-server", decision_server=self,
         )
+
+    @property
+    def max_body_bytes(self) -> int:
+        """The largest request body read: ``max_batch`` devices' worth."""
+        return (_BODY_BYTES_PER_DEVICE * self.service.config.max_batch
+                + _BODY_BYTES_FIXED)
 
     # -- span plumbing (handler threads share one collector) ---------------
 

@@ -21,12 +21,13 @@
   ``/state``), exercised here on irregular wall-clock windows rather
   than the lockstep virtual clock.
 
-Every ``decide`` doubles as a :class:`~repro.net.messages.ThresholdReport`
-to the coordinator (marshalled onto the driver thread), so the service
-measures γ from the traffic it actually serves; with a frozen population
-querying steadily, the γ̂ trajectory settles onto the same fixed point as
-the offline :func:`repro.core.dtu.run_dtu` (pinned by
-``tests/test_serve.py``).
+Every ``decide`` answers with columns (:class:`Decisions`) and doubles
+as one :class:`~repro.net.messages.ReportBatch` to the coordinator
+(marshalled onto the driver thread as a single message, whatever the
+batch size), so the service measures γ from the traffic it actually
+serves; with a frozen population querying steadily, the γ̂ trajectory
+settles onto the same fixed point as the offline
+:func:`repro.core.dtu.run_dtu` (pinned by ``tests/test_serve.py``).
 
 **Staleness semantics** — responses carry ``stale: true`` when the γ̂
 they answer from predates the last re-estimation deadline by more than
@@ -41,14 +42,14 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.edge_delay import PAPER_DELAY_MODEL, EdgeDelayModel
 from repro.core.kernels import CompiledMeanField, compile_mean_field
 from repro.net.actors import EDGE_ADDRESS, EdgeCoordinator
-from repro.net.messages import JoinLeave, ThresholdReport
+from repro.net.messages import JoinLeave, ReportBatch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ObsRecorder, Recorder
 from repro.population.sampler import Population
@@ -59,6 +60,10 @@ from repro.utils.validation import (
     check_positive,
     check_unit_interval,
 )
+
+#: The transport address report batches are sent from: one request
+#: speaks for many devices.
+SERVICE_ADDRESS = "service"
 
 
 @dataclass(frozen=True)
@@ -144,26 +149,39 @@ class ServeConfig:
 class ServingCoordinator(EdgeCoordinator):
     """The edge actor adapted to the pull-model daemon.
 
-    Three deviations from the virtual-time coordinator, all additive:
+    Three deviations from the virtual-time coordinator:
 
     * **broadcast publishes, it does not push** — HTTP clients pull γ̂
       via ``/decide``, so a round opens (round counter + span) without
       fanning N messages out to mailboxes that don't exist;
     * **membership starts empty** — the provisioned fleet joins
-      explicitly (or implicitly on first decide), so ``_left`` begins as
-      the whole population instead of nobody;
-    * **measure walks the report table, not the fleet** — identical
-      arithmetic (same staleness/liveness tests, same NumPy reduction in
-      device order), but O(devices heard) instead of O(N) per round,
-      which matters when N is 10⁶ and a round is a wall-clock period.
+      explicitly (or implicitly on first decide);
+    * **the report table is columnar** — one slot per provisioned device
+      (``devices`` must be ``0..N-1``): a joined mask, the last-heard
+      time, and the stored report's time, round and rate.  The drain
+      applies each run of :class:`ReportBatch` messages, and each
+      :class:`JoinLeave`, with a few vector ops under the base rules (the
+      newest round wins, ties go to the later message, a leave clears
+      the report), and a round's measurement and census are masked
+      reductions over N.  The usable rates come out in device order, so
+      the NumPy mean — and with it every γ̂ trajectory — is bit-equal to
+      the per-message table's.
 
-    The round loop, drain, stepper, and degradation logic are inherited
+    The round loop, stepper, and degradation logic are inherited
     untouched.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._left = set(self.known)
+        n = len(self.known)
+        if self.known != list(range(n)):
+            raise ValueError("the serving table is indexed by device id: "
+                             "devices must be 0..N-1")
+        self._joined = np.zeros(n, dtype=bool)
+        self._heard_at = np.zeros(n)
+        self._report_at = np.zeros(n)
+        self._report_round = np.full(n, -1, dtype=np.int64)   # -1: none
+        self._report_rate = np.zeros(n)
         self.last_round_ended = 0.0
         self.last_round_status = "init"
         self.rounds_completed = 0
@@ -184,26 +202,112 @@ class ServingCoordinator(EdgeCoordinator):
         self.rounds_completed += 1
         super()._close_round_span(status, **tags)
 
-    def _measure(self, now: float) -> Optional[float]:
-        window = self.config.report_window
-        rates: List[float] = []
-        # Sorted device order: the same multiset, in the same order, as
-        # the fleet-walking base implementation would produce.
-        for device in sorted(self._reports):
-            delivered_at, report_round, rate, _ = self._reports[device]
-            stale = (now - delivered_at > window
-                     and report_round != self.round)
-            if stale or not self._alive(device, now):
+    # -- the report table --------------------------------------------------
+
+    def _drain(self) -> None:
+        # Consecutive batches are applied as one run, so a round costs a
+        # few vector ops (and few GIL hand-offs to the busy handler
+        # threads) however many requests it served.
+        run: List = []
+        for envelope in self.mailbox.drain():
+            if isinstance(envelope.message, ReportBatch):
+                run.append(envelope)
                 continue
-            rates.append(rate)
-        if not rates:
+            self._apply_reports(run)
+            run = []
+            self._handle(envelope)
+        self._apply_reports(run)
+
+    def _handle(self, envelope) -> None:
+        """Apply a :class:`JoinLeave` (batches go through the drain)."""
+        message = envelope.message
+        if isinstance(message, JoinLeave):
+            self._heard_at[message.device] = envelope.delivered_at
+            self._joined[message.device] = message.joining
+            if not message.joining:
+                self._report_round[message.device] = -1
+
+    def _apply_reports(self, envelopes: List) -> None:
+        """Apply a run of :class:`ReportBatch` envelopes as if row by row.
+
+        Per device, its last row sets the last-heard time, and its last
+        row of the newest round replaces the stored report if that round
+        is at least the stored one — the per-message rules, folded into
+        two scatter-max passes over the run's rows.
+        """
+        if not envelopes:
+            return
+        batches = [envelope.message for envelope in envelopes]
+        sizes = [batch.devices.size for batch in batches]
+        devices = np.concatenate([batch.devices for batch in batches])
+        rates = np.concatenate([batch.offload_rates for batch in batches])
+        rounds = np.repeat([batch.round for batch in batches], sizes)
+        times = np.repeat([envelope.delivered_at for envelope in envelopes],
+                          sizes)
+        joining = np.repeat([batch.joining for batch in batches], sizes)
+        rows = np.arange(devices.size)
+        last = np.full(self._joined.size, -1)
+        np.maximum.at(last, devices, rows)
+        newest = np.full(self._joined.size, -1)   # newest round, then row
+        np.maximum.at(newest, devices, rounds * devices.size + rows)
+        heard = np.flatnonzero(last >= 0)
+        self._heard_at[heard] = times[last[heard]]
+        self._joined[devices[joining]] = True
+        winners = newest[heard] % devices.size
+        newer = rounds[winners] >= self._report_round[heard]
+        updated, winners = heard[newer], winners[newer]
+        self._report_at[updated] = times[winners]
+        self._report_round[updated] = rounds[winners]
+        self._report_rate[updated] = rates[winners]
+
+    def _alive_mask(self, now: float) -> np.ndarray:
+        timeout = self.config.liveness_timeout
+        if timeout is None:
+            return self._joined
+        return self._joined & (now - self._heard_at <= timeout)
+
+    def members(self, now: float) -> List[int]:
+        return np.flatnonzero(self._alive_mask(now)).tolist()
+
+    def _measure(self, now: float) -> Optional[float]:
+        # The base staleness rule as a mask: an answer to the current
+        # round is never stale; older ones must lie inside the window.
+        usable = self._alive_mask(now) & (self._report_round >= 0) & (
+            (now - self._report_at <= self.config.report_window)
+            | (self._report_round == self.round))
+        rates = self._report_rate[usable]
+        if rates.size == 0:
             return None
-        return float(np.mean(np.asarray(rates)) / self.capacity)
+        return float(np.mean(rates) / self.capacity)
+
+    def _census(self, now: float) -> Tuple[int, int]:
+        return (int(np.count_nonzero(self._report_round >= 0)),
+                int(np.count_nonzero(self._alive_mask(now))))
 
     @property
     def joined(self) -> int:
         """Devices currently joined (explicit membership only)."""
-        return len(self.known) - len(self._left)
+        return int(np.count_nonzero(self._joined))
+
+
+@dataclass(frozen=True, eq=False)
+class Decisions:
+    """One ``decide`` call's answer, as columns.
+
+    Row ``i`` is device ``devices[i]``'s Lemma-1 threshold, its offload
+    probability α and offered rate ``a·α`` at ``gamma`` (the γ̂ of
+    ``round``).  ``single`` records that the query named one device
+    rather than a list, which the HTTP body spells differently.
+    """
+
+    round: int
+    gamma: float
+    stale: bool
+    devices: np.ndarray                  # int64
+    thresholds: np.ndarray               # int64
+    offload_probabilities: np.ndarray
+    offload_rates: np.ndarray
+    single: bool
 
 
 class AdmissionController:
@@ -327,18 +431,17 @@ class DecisionService:
     # -- queries -----------------------------------------------------------
 
     def decide(self, devices: Union[int, Sequence[int]],
-               report: bool = True) -> dict:
+               report: bool = True) -> Decisions:
         """Thresholds for a device batch at the current γ̂ — one probe.
 
-        Returns a JSON-ready payload.  ``report=True`` (the default)
-        feeds the decisions back to the coordinator as
-        :class:`ThresholdReport` messages, so served traffic *is* the
-        measurement population.  Raises :class:`ValueError` for unknown
-        device ids or an oversized batch (the HTTP layer maps that to
-        400/413).
+        ``report=True`` (the default) also feeds the decisions back to the
+        coordinator as one :class:`ReportBatch`, so served traffic *is*
+        the measurement population.  Raises :class:`ValueError` for
+        unknown device ids or an oversized batch (the HTTP layer maps
+        that to 400/413).
         """
         single = np.isscalar(devices)
-        ids = np.atleast_1d(np.asarray(devices, dtype=np.int64))
+        ids = np.array(devices, dtype=np.int64, ndmin=1)
         if ids.size == 0:
             raise ValueError("empty device batch")
         if ids.size > self.config.max_batch:
@@ -358,34 +461,20 @@ class DecisionService:
         rates = self.population.arrival_rates[ids] * alphas
 
         if report:
-            id_list = [int(i) for i in ids]
-            rate_list = [float(r) for r in rates]
-            threshold_list = [float(t) for t in thresholds]
-            self.driver.submit(lambda: self._ingest_reports(
-                id_list, round_number, threshold_list, rate_list))
+            batch = ReportBatch(ids, round_number, thresholds, rates,
+                                joining=self.config.auto_join)
+            self.driver.submit(lambda: self.transport.send(
+                SERVICE_ADDRESS, EDGE_ADDRESS, batch))
         now = self.driver.now
         with self._load_lock:
             self.load.record(now)
         self.registry.inc("serve.requests")
         self.registry.inc("serve.decisions", float(ids.size))
         self.registry.observe("serve.batch_size", float(ids.size))
-
-        decisions = [
-            {"device": int(device), "threshold": int(threshold),
-             "offload_probability": float(alpha),
-             "offload_rate": float(rate)}
-            for device, threshold, alpha, rate
-            in zip(ids, thresholds, alphas, rates)
-        ]
-        payload = {
-            "round": round_number,
-            "gamma": gamma,
-            "stale": self.stale,
-            "decisions": decisions,
-        }
-        if single:
-            payload.update(decisions[0])
-        return payload
+        return Decisions(round=round_number, gamma=gamma, stale=self.stale,
+                         devices=ids, thresholds=thresholds,
+                         offload_probabilities=alphas, offload_rates=rates,
+                         single=single)
 
     def join(self, devices: Union[int, Iterable[int]]) -> int:
         """Announce membership — one :class:`JoinLeave` per device."""
@@ -407,17 +496,6 @@ class DecisionService:
         return len(ids)
 
     # -- loop-thread ingestion (called via driver.submit only) -------------
-
-    def _ingest_reports(self, ids: List[int], round_number: int,
-                        thresholds: List[float], rates: List[float]) -> None:
-        coordinator = self.coordinator
-        for device, threshold, rate in zip(ids, thresholds, rates):
-            if self.config.auto_join and device in coordinator._left:
-                self.transport.send(device, EDGE_ADDRESS,
-                                    JoinLeave(device, True))
-            self.transport.send(
-                device, EDGE_ADDRESS,
-                ThresholdReport(device, round_number, threshold, rate))
 
     def _ingest_membership(self, ids: List[int], joining: bool) -> None:
         for device in ids:

@@ -198,8 +198,8 @@ class WallClockTransport:
     envelope stamping and fate accounting as
     :class:`~repro.net.transport.LocalTransport`, minus the event-heap
     hop: a zero-delay ``send`` delivers synchronously into the
-    destination mailbox, so a batch of reports costs B envelope builds,
-    not B scheduled callbacks.  ``send`` must run on the driver's loop
+    destination mailbox, so a message costs one envelope build, not a
+    scheduled callback.  ``send`` must run on the driver's loop
     thread (callers marshal via :meth:`WallClockDriver.submit`), which
     keeps mailboxes and the log single-threaded.
     """

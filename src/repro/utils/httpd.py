@@ -10,8 +10,10 @@ clean ``stop()``.  This module holds that plumbing once so the two
 servers cannot drift.
 
 :class:`QuietHandler` is a :class:`~http.server.BaseHTTPRequestHandler`
-base with logging silenced and a JSON/text response helper that always
-sends ``Content-Length`` (keep-alive safe under ``HTTP/1.1``).
+base with logging silenced, a JSON/text response helper that always
+sends ``Content-Length`` (keep-alive safe under ``HTTP/1.1``), and
+request-body readers that check the client's ``Content-Length`` before
+reading a byte.
 
 :class:`HttpDaemon` owns the server lifecycle::
 
@@ -58,41 +60,62 @@ class QuietHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def send_json(self, status: int, document: dict,
+    def send_json(self, status: int, document,
                   extra_headers: Optional[dict] = None) -> None:
         self.send_payload(
-            status, (json.dumps(document) + "\n").encode("utf-8"),
+            status, self.encode_json(document),
             content_type="application/json; charset=utf-8",
             extra_headers=extra_headers,
         )
+
+    def encode_json(self, document) -> bytes:
+        """A response document as body bytes; subclasses may add types."""
+        return (json.dumps(document) + "\n").encode("utf-8")
 
     def send_text(self, status: int, body: str,
                   content_type: str = "text/plain; charset=utf-8") -> None:
         self.send_payload(status, body.encode("utf-8"),
                           content_type=content_type)
 
-    def drain_body(self) -> None:
-        """Consume an unread request body without parsing it.
+    def body_length(self, limit: int) -> Optional[int]:
+        """The request's ``Content-Length``, checked before any body read.
+
+        A value that is not a non-negative decimal is answered 400 and one
+        above ``limit`` bytes 413, here; both return None, and because the
+        body is left unread the connection closes after that response.
+        """
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            status, error = 400, "Content-Length must be a byte count"
+        # Digits first: int() refuses strings of thousands of digits.
+        elif len(raw) > len(str(limit)) or int(raw) > limit:
+            status, error = 413, f"request body exceeds {limit} bytes"
+        else:
+            return int(raw)
+        self.close_connection = True
+        self.send_json(status, {"error": error})
+        return None
+
+    def drain_body(self, length: int) -> None:
+        """Consume ``length`` unread body bytes without parsing them.
 
         Any handler path that answers *without* reading the body (shed,
         unknown route) must still drain it: under HTTP/1.1 keep-alive
         the leftover bytes would otherwise be parsed as the start of the
         connection's next request.
         """
-        length = int(self.headers.get("Content-Length") or 0)
         while length > 0:
             chunk = self.rfile.read(min(length, 65536))
             if not chunk:
                 break
             length -= len(chunk)
 
-    def read_json_body(self) -> dict:
-        """The request body as a JSON object (``{}`` for an empty body).
+    def read_json_body(self, length: int) -> dict:
+        """The ``length``-byte body as a JSON object (``{}`` when empty).
 
         Raises :class:`ValueError` on malformed JSON or a non-object
         payload, which routing code maps to a 400.
         """
-        length = int(self.headers.get("Content-Length") or 0)
         if length == 0:
             return {}
         raw = self.rfile.read(length)

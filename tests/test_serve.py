@@ -15,10 +15,12 @@ Three contracts pin :mod:`repro.serve` to the rest of the repo:
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from repro.serve import (
     ServeConfig,
     WallClockDriver,
 )
+from repro.serve.httpd import encode_decisions
 from repro.serve.replay import ReplayConfig, run_replay
 
 
@@ -52,6 +55,41 @@ def kernel(population):
 def _get(url):
     with urllib.request.urlopen(url) as response:
         return response.status, json.loads(response.read())
+
+
+def _raw_post(url, head: bytes, timeout: float = 10.0):
+    """``head`` (request line + headers) over a fresh socket, no body.
+
+    Returns ``(status, reply)``; reading the reply to EOF also proves the
+    server closed the connection instead of waiting for body bytes.
+    """
+    host, port = url.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(head)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    return int(reply.split(b" ", 2)[1]), reply
+
+
+def _old_payload(decisions):
+    """The ``/decide`` document as a dict, as the service once built it."""
+    rows = [
+        {"device": int(device), "threshold": int(threshold),
+         "offload_probability": float(alpha),
+         "offload_rate": float(rate)}
+        for device, threshold, alpha, rate in zip(
+            decisions.devices, decisions.thresholds,
+            decisions.offload_probabilities, decisions.offload_rates)
+    ]
+    payload = {"round": decisions.round, "gamma": decisions.gamma,
+               "stale": decisions.stale, "decisions": rows}
+    if decisions.single:
+        payload.update(rows[0])
+    return payload
 
 
 def _post(url, document):
@@ -198,24 +236,43 @@ class TestDecisionService:
                                                     kernel):
         with DecisionService(population, ServeConfig()) as service:
             ids = [0, 5, 9]
-            payload = service.decide(ids)
-            gamma = payload["gamma"]
+            decisions = service.decide(ids)
+            gamma = decisions.gamma
             expected = kernel.user_thresholds(np.asarray(ids), gamma)
-            got = [entry["threshold"] for entry in payload["decisions"]]
+            got = decisions.thresholds
             np.testing.assert_array_equal(got, expected)
             alphas = kernel.user_alphas(np.asarray(ids), expected)
-            for entry, alpha, index in zip(payload["decisions"], alphas,
-                                           ids):
-                assert entry["offload_probability"] == alpha
-                assert entry["offload_rate"] == \
+            for row, (alpha, index) in enumerate(zip(alphas, ids)):
+                assert decisions.devices[row] == index
+                assert decisions.offload_probabilities[row] == alpha
+                assert decisions.offload_rates[row] == \
                     population.arrival_rates[index] * alpha
 
     def test_single_decide_inlines_the_decision(self, population):
         with DecisionService(population) as service:
-            payload = service.decide(7)
+            payload = json.loads(encode_decisions(service.decide(7)))
             assert payload["device"] == 7
             assert payload["threshold"] == \
                 payload["decisions"][0]["threshold"]
+
+    def test_caller_mutation_does_not_reach_the_table(self, population):
+        # The service is never started: its loop-thread closures are
+        # captured and run here, so the drain is deterministic.
+        service = DecisionService(population, ServeConfig())
+        submitted = []
+        service.driver.submit = submitted.append
+        ids = np.array([1, 2, 3])
+        decisions = service.decide(ids)
+        ids[:] = [10, 11, 12]
+        for action in submitted:
+            action()
+        coordinator = service.coordinator
+        coordinator._drain()
+        assert decisions.devices.tolist() == [1, 2, 3]
+        assert coordinator.members(0.0) == [1, 2, 3]
+        assert coordinator._census(0.0) == (3, 3)
+        assert coordinator._measure(0.0) == float(
+            np.mean(decisions.offload_rates) / population.capacity)
 
     def test_rejects_bad_devices_and_batches(self, population):
         config = ServeConfig(max_batch=8)
@@ -243,6 +300,22 @@ class TestDecisionService:
             time.sleep(0.1)
             assert service.state()["members"] == 2
         assert not service.healthy                      # stopped
+
+
+class TestDecisionEncoding:
+    """``encode_decisions`` against ``json.dumps`` of the dict document."""
+
+    @pytest.mark.parametrize("devices", [
+        [0, 5, 9], [3, 3, 0, 17, 3], list(range(64)), [7], 7])
+    def test_matches_json_dumps_of_the_dict(self, population, devices):
+        service = DecisionService(population)
+        decisions = service.decide(devices, report=False)
+        assert decisions.single == isinstance(devices, int)
+        for variant in (decisions,
+                        replace(decisions, stale=False, gamma=0.1 + 0.2,
+                                round=12)):
+            assert encode_decisions(variant) == \
+                (json.dumps(_old_payload(variant)) + "\n").encode()
 
 
 @pytest.mark.serve
@@ -280,6 +353,31 @@ class TestDecisionServer:
         big = {"devices": list(range(100_001))}
         assert _post(server.url + "/decide", big)[0] == 413
 
+    def test_decide_body_is_json_dumps_output(self, server):
+        for document in ({"devices": [4, 0, 4, 63, 17]}, {"device": 9}):
+            request = urllib.request.Request(
+                server.url + "/decide", data=json.dumps(document).encode())
+            with urllib.request.urlopen(request) as response:
+                body = response.read()
+            # Floats round-trip through repr, so re-dumping the decoded
+            # document reproduces json.dumps's bytes exactly.
+            assert body == (json.dumps(json.loads(body)) + "\n").encode()
+
+    def test_negative_content_length_is_refused(self, server):
+        status, _ = _raw_post(
+            server.url, b"POST /decide HTTP/1.1\r\nHost: t\r\n"
+                        b"Content-Length: -1\r\n\r\n")
+        assert status == 400
+
+    def test_huge_content_length_is_refused_unread(self, server):
+        status, reply = _raw_post(
+            server.url, b"POST /decide HTTP/1.1\r\nHost: t\r\n"
+                        b"Content-Length: 99999999999\r\n\r\n")
+        assert status == 413
+        assert b"exceeds" in reply
+        # The daemon is still healthy and serving.
+        assert _post(server.url + "/decide", {"device": 1})[0] == 200
+
     def test_metrics_exposition(self, server):
         _post(server.url + "/decide", {"device": 1})
         with urllib.request.urlopen(server.url + "/metrics") as response:
@@ -305,6 +403,17 @@ class TestDecisionServer:
             status, _, _ = _post(live.url + "/decide", {"device": 1})
             assert status == 200
             assert live.service.state()["shed_total"] == 1
+
+    def test_non_numeric_content_length_on_the_shed_path(self, population):
+        config = ServeConfig(round_period=0.05, watermark=1)
+        with DecisionServer(DecisionService(population, config)) as live:
+            assert live.service.admission.try_enter()
+            status, _ = _raw_post(
+                live.url, b"POST /decide HTTP/1.1\r\nHost: t\r\n"
+                          b"Content-Length: ten\r\n\r\n")
+            assert status == 400
+            live.service.admission.exit()
+            assert _post(live.url + "/decide", {"device": 1})[0] == 200
 
 
 @pytest.mark.serve
