@@ -16,10 +16,13 @@ in practice the gap comes from replacing ``O(N·m_max)`` boolean-mask
 sweeps per evaluation with one ``O(N log m_max)`` batched binary search
 plus table gathers.
 
-Each row also times the PR's kernel levers in isolation: the lazy vs
-eager constructor (``lazy_build_speedup`` — the deferred probe layout +
-on-demand α/Q fill) and warm vs cold probes over a prebuilt kernel's full
-bisection trajectory (``warm_probe_speedup``). The full run appends one
+Each row also times the kernel levers in isolation: the lazy
+constructor vs a fully materialized build (``lazy_build_speedup`` — the
+deferred probe layout + on-demand α/Q fill) and warm vs cold probes over
+a prebuilt kernel's full bisection trajectory (``warm_probe_speedup``).
+The uncompiled and cold-probe sides are reached through bench-local
+subclasses, since the solvers compile only exact ``MeanFieldMap``\ s and
+warm-start only maps that offer ``probe_state``. The full run appends one
 compiled-only frontier row at N = 10⁷ (``--no-large`` skips it) — the
 uncompiled sweep is infeasible there, which is the point.
 
@@ -83,6 +86,29 @@ def _best_of(repetitions, func, *args, **kwargs):
     return best, result
 
 
+def _uncompiled(population):
+    """The reference map: the solvers compile only exact MeanFieldMaps."""
+    from repro.core.meanfield import MeanFieldMap
+
+    class ReferenceMap(MeanFieldMap):
+        pass
+
+    return ReferenceMap(population)
+
+
+def _cold_twin(kernel):
+    """A table-sharing twin of ``kernel`` that the solvers probe cold:
+    they warm-start only maps that offer a probe state."""
+    from repro.core.kernels import CompiledMeanField
+
+    class ColdProbeKernel(CompiledMeanField):
+        def probe_state(self):
+            return None
+
+    return ColdProbeKernel.with_shared_tables(
+        kernel, kernel.population, kernel.delay_model)
+
+
 def _measure_point(n_users: int, seed: int = 7) -> dict:
     """Time uncompiled vs compiled on one freshly sampled population."""
     from repro.core.dtu import DtuConfig, run_dtu
@@ -95,6 +121,7 @@ def _measure_point(n_users: int, seed: int = 7) -> dict:
         build_scenario("paper-theoretical"), n_users, rng=seed,
     )
     mean_field = MeanFieldMap(population)
+    plain_map = _uncompiled(population)
     gammas = [i / (N_EVALUATIONS - 1) for i in range(N_EVALUATIONS)]
 
     # -- repeated V(γ): the MFNE/DTU/sweep inner loop -----------------
@@ -113,11 +140,10 @@ def _measure_point(n_users: int, seed: int = 7) -> dict:
     from repro.core.kernels import CompiledMeanField
 
     build_lazy_seconds, _ = _best_of(
-        VALUE_REPETITIONS,
-        lambda: CompiledMeanField(population, lazy_tables=True))
+        VALUE_REPETITIONS, lambda: CompiledMeanField(population))
     build_eager_seconds, _ = _best_of(
         VALUE_REPETITIONS,
-        lambda: CompiledMeanField(population, lazy_tables=False))
+        lambda: CompiledMeanField(population).materialize())
 
     # -- lever 3: warm-started probes on the γ grid -------------------
     def _grid_warm():
@@ -130,7 +156,7 @@ def _measure_point(n_users: int, seed: int = 7) -> dict:
 
     # -- the consumers, end to end (compiled path re-builds inside) ---
     solve_plain_seconds, solve_plain = _best_of(
-        RUN_REPETITIONS, solve_mfne, mean_field, compile_kernel=False)
+        RUN_REPETITIONS, solve_mfne, plain_map)
     solve_compiled_seconds, solve_compiled = _best_of(
         RUN_REPETITIONS, solve_mfne, mean_field)
     assert solve_compiled.utilization == solve_plain.utilization
@@ -141,13 +167,13 @@ def _measure_point(n_users: int, seed: int = 7) -> dict:
     solve_warm_seconds, solve_warm = _best_of(
         RUN_REPETITIONS, solve_mfne, kernel)
     solve_cold_probe_seconds, solve_cold = _best_of(
-        RUN_REPETITIONS, solve_mfne, kernel, warm_probes=False)
+        RUN_REPETITIONS, solve_mfne, _cold_twin(kernel))
     assert solve_warm.history == solve_cold.history, \
         "warm probes changed the solver trajectory"
 
     config = DtuConfig(seed=3)
     dtu_plain_seconds, dtu_plain = _best_of(
-        RUN_REPETITIONS, run_dtu, mean_field, config, compile_kernel=False)
+        RUN_REPETITIONS, run_dtu, plain_map, config)
     dtu_compiled_seconds, dtu_compiled = _best_of(
         RUN_REPETITIONS, run_dtu, mean_field, config)
     assert dtu_compiled.estimated_utilization == \
@@ -202,8 +228,7 @@ def _measure_point_large(n_users: int = LARGE_SIZE, seed: int = 7) -> dict:
     population = sample_population(
         build_scenario("paper-theoretical"), n_users, rng=seed,
     )
-    build_seconds, kernel = _time(
-        CompiledMeanField, population, lazy_tables=True)
+    build_seconds, kernel = _time(CompiledMeanField, population)
     kernel.value(0.0)  # first probe materialises the probe layout
     gammas = [i / (N_EVALUATIONS - 1) for i in range(N_EVALUATIONS)]
     value_seconds, cold_values = _time(
@@ -216,8 +241,7 @@ def _measure_point_large(n_users: int = LARGE_SIZE, seed: int = 7) -> dict:
     value_warm_seconds, warm_values = _time(_grid_warm)
     assert warm_values == cold_values, "warm probe broke V(γ) bit-identity"
     solve_warm_seconds, solve_warm = _time(solve_mfne, kernel)
-    solve_cold_seconds, solve_cold = _time(
-        solve_mfne, kernel, warm_probes=False)
+    solve_cold_seconds, solve_cold = _time(solve_mfne, _cold_twin(kernel))
     assert solve_warm.history == solve_cold.history, \
         "warm probes changed the solver trajectory"
     return {
@@ -289,8 +313,7 @@ def smoke_1e6(n_users: int = 1_000_000) -> dict:
     population = sample_population(
         build_scenario("paper-theoretical"), n_users, rng=7,
     )
-    build_seconds, kernel = _time(
-        CompiledMeanField, population, lazy_tables=True)
+    build_seconds, kernel = _time(CompiledMeanField, population)
     local_value = kernel.value(0.5)
     share_seconds, shared = _time(kernel.share_memory)
     import pickle

@@ -66,7 +66,7 @@ def _sweep_workload(n_users: int):
         "task_pickle_bytes_copied": _spec_bytes(
             _sweep_point, parameter="capacity", value=10.0,
             n_users=n_users, include_dtu=True, backend=None,
-            sim_horizon=150.0, compile_kernel=True),
+            sim_horizon=150.0),
     }
     return (run, f"sweep[capacity x {len(SWEEP_VALUES)}, n_users={n_users}]",
             extras)

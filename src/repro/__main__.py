@@ -33,10 +33,9 @@ exactly. (`python -m repro.experiments` separately regenerates the
 paper's tables and figures.)
 
 All analytical subcommands evaluate ``V(γ)`` through the compiled
-best-response kernel (:mod:`repro.core.kernels`) by default — precomputed
-staircase breakpoints probed in ``O(N log m_max)``, bit-identical to the
-uncompiled search; ``--no-compile`` falls back to the per-evaluation
-staircase sweep.
+best-response kernel (:mod:`repro.core.kernels`) — precomputed staircase
+breakpoints probed in ``O(N log m_max)``, bit-identical to the uncompiled
+search.
 """
 
 from __future__ import annotations
@@ -61,10 +60,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--users", type=int, default=5000,
                         help="population size (default 5000)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-compile", action="store_true",
-                        help="skip the compiled best-response kernel and "
-                             "re-run the staircase search per evaluation "
-                             "(results are bit-identical either way)")
 
 
 def _population(args):
@@ -79,18 +74,10 @@ def cmd_scenarios(_args) -> int:
     return 0
 
 
-def _mean_field(args, population) -> MeanFieldMap:
-    """The scenario's best-response map, compiled unless ``--no-compile``."""
-    mean_field = MeanFieldMap(population)
-    if not args.no_compile:
-        mean_field = mean_field.compile()
-    return mean_field
-
-
 def cmd_solve(args) -> int:
     population = _population(args)
-    mean_field = _mean_field(args, population)
-    result = solve_mfne(mean_field, compile_kernel=not args.no_compile)
+    mean_field = MeanFieldMap(population).compile()
+    result = solve_mfne(mean_field)
     print(f"scenario: {args.scenario} (N={population.size}, "
           f"c={population.capacity:g})")
     print(f"MFNE γ* = {result.utilization:.6f} "
@@ -109,17 +96,15 @@ def cmd_solve(args) -> int:
 
 def cmd_dtu(args) -> int:
     population = _population(args)
-    mean_field = _mean_field(args, population)
-    gamma_star = solve_mfne(
-        mean_field, compile_kernel=not args.no_compile).utilization
+    mean_field = MeanFieldMap(population).compile()
+    gamma_star = solve_mfne(mean_field).utilization
     config = DtuConfig(
         initial_step=args.step,
         tolerance=args.tolerance,
         update_probability=args.update_probability,
         seed=args.seed,
     )
-    result = run_dtu(mean_field, config,
-                     compile_kernel=not args.no_compile)
+    result = run_dtu(mean_field, config)
     print(f"scenario: {args.scenario} (N={population.size})")
     print(f"γ* = {gamma_star:.4f}; DTU converged={result.converged} in "
           f"{result.iterations} iterations; final γ = "
@@ -139,9 +124,7 @@ def cmd_net(args) -> int:
     from repro.net import ChurnConfig, FaultConfig, NetConfig, run_net_dtu
 
     population = _population(args)
-    gamma_star = solve_mfne(
-        MeanFieldMap(population),
-        compile_kernel=not args.no_compile).utilization
+    gamma_star = solve_mfne(MeanFieldMap(population)).utilization
     faults = None
     if args.loss or args.duplicate or args.latency or args.jitter:
         faults = FaultConfig(loss=args.loss, duplicate=args.duplicate,
@@ -189,8 +172,7 @@ def cmd_net(args) -> int:
             print(f"serving live metrics at {server.url}")
 
     try:
-        result = run_net_dtu(population, config, recorder=recorder,
-                             compile_kernel=not args.no_compile)
+        result = run_net_dtu(population, config, recorder=recorder)
     finally:
         if server is not None:
             server.stop()
@@ -237,8 +219,7 @@ def cmd_sharded(args) -> int:
 
     population = _population(args)
     sites = tiered_sites(args.sites, total_capacity=args.total_capacity)
-    system = MultiEdgeSystem(population, sites, rng=args.seed,
-                             compile_kernels=not args.no_compile)
+    system = MultiEdgeSystem(population, sites, rng=args.seed)
     eq = solve_multiedge_equilibrium(system)
     faults = None
     if args.loss or args.duplicate or args.latency or args.jitter:
@@ -288,8 +269,7 @@ def cmd_sharded(args) -> int:
             print(f"serving live metrics at {server.url}")
 
     try:
-        result = run_sharded_dtu(system, config, recorder=recorder,
-                                 compile_kernels=not args.no_compile)
+        result = run_sharded_dtu(system, config, recorder=recorder)
     finally:
         if server is not None:
             server.stop()
@@ -482,7 +462,6 @@ def cmd_workload(args) -> int:
         )
         result = run_workload_net(
             population, scenario, config,
-            compile_kernel=not args.no_compile,
             checkpoint_every=args.checkpoint_every,
         )
         net = result.net
@@ -504,8 +483,8 @@ def cmd_workload(args) -> int:
 
 def cmd_compare(args) -> int:
     population = _population(args)
-    mean_field = _mean_field(args, population)
-    mfne = solve_mfne(mean_field, compile_kernel=not args.no_compile)
+    mean_field = MeanFieldMap(population).compile()
+    mfne = solve_mfne(mean_field)
     dtu_cost = mean_field.average_cost(mfne.utilization)
     dpo = solve_dpo_equilibrium(population)
     saving = 100 * (dpo.average_cost - dtu_cost) / dpo.average_cost
@@ -798,9 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sim-horizon", type=float, default=150.0,
                        help="simulated time units per --backend validation "
                             "run (default 150)")
-    sweep.add_argument("--no-compile", action="store_true",
-                       help="skip the compiled best-response kernel "
-                            "(bit-identical table, slower points)")
     sweep.set_defaults(func=cmd_sweep)
 
     # The epilog is generated from the registry, not maintained as
@@ -818,8 +794,7 @@ def cmd_sweep(args) -> int:
     result = run_sweep(args.param, parse_values(args.values),
                        n_users=args.users, seed=args.seed,
                        jobs=args.jobs, cache=args.cache,
-                       backend=args.backend, sim_horizon=args.sim_horizon,
-                       compile_kernel=not args.no_compile)
+                       backend=args.backend, sim_horizon=args.sim_horizon)
     print(result)
     return 0
 

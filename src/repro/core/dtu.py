@@ -305,8 +305,6 @@ def run_dtu(
     oracle: Optional[UtilizationOracle] = None,
     initial_estimate: float = 0.0,
     recorder: Optional[Recorder] = None,
-    compile_kernel: bool = True,
-    warm_probes: bool = True,
 ) -> DtuResult:
     """Run Algorithm 1 on ``mean_field``.
 
@@ -328,30 +326,26 @@ def run_dtu(
         Observability sink (see :mod:`repro.obs`). Defaults to the ambient
         recorder — the zero-overhead null recorder unless the caller opted
         in — so the γ̂ sequence is bit-identical with tracing off.
-    compile_kernel:
-        Compile ``mean_field`` into a
-        :class:`repro.core.kernels.CompiledMeanField` before the loop —
-        every iteration best-responds to a fresh γ̂, so the precompiled
-        staircase pays for itself within a couple of iterations.
-        Bit-identical trajectories; only a plain :class:`MeanFieldMap` is
-        compiled (subclasses and ready-made kernels pass through). The
-        default analytic oracle is built from the compiled map, so its
-        Eq. 6 measurements run off the α tables too.
-    warm_probes:
-        Seed each compiled best-response probe from the previous
-        iteration's counts. The γ̂ sequence moves by at most η per
-        iteration, so warm galloping probes settle almost every user in
-        one sweep; the probe decides the same maximal-count predicate,
-        making the threshold trajectory bit-identical to cold probes
-        (pinned by the test suite). Maps without probe support — plain
-        maps, churn ablations — ignore this.
+
+    A plain :class:`MeanFieldMap` is compiled into a
+    :class:`repro.core.kernels.CompiledMeanField` before the loop —
+    every iteration best-responds to a fresh γ̂, so the precompiled
+    staircase pays for itself within a couple of iterations — and the
+    default analytic oracle is built from the compiled map, so its Eq. 6
+    measurements run off the α tables too. Subclasses and ready-made
+    kernels pass through. Maps that offer a
+    :meth:`~repro.core.meanfield.MeanFieldMap.probe_state` seed each
+    best-response probe from the previous iteration's counts: γ̂ moves by
+    at most η per iteration, so warm galloping probes settle almost every
+    user in one sweep, and the threshold trajectory is bit-identical to
+    cold probes (pinned by the test suite).
     """
     config = config or DtuConfig()
-    if compile_kernel and type(mean_field) is MeanFieldMap:
+    if type(mean_field) is MeanFieldMap:
         mean_field = mean_field.compile()
     # getattr: duck-typed stand-ins only need to provide best_response.
     probe_state = getattr(mean_field, "probe_state", None)
-    probe = probe_state() if (warm_probes and probe_state is not None) else None
+    probe = probe_state() if probe_state is not None else None
     oracle = oracle or AnalyticUtilizationOracle(mean_field)
     check_unit_interval("initial_estimate", initial_estimate)
     rng = as_generator(config.seed)

@@ -60,8 +60,6 @@ def solve_mfne(
     method: str = "bisection",
     damping: float = 0.5,
     recorder: Optional[Recorder] = None,
-    compile_kernel: bool = True,
-    warm_probes: bool = True,
 ) -> MfneResult:
     """Solve ``V(γ) = γ`` for the unique MFNE of Theorem 1.
 
@@ -77,30 +75,25 @@ def solve_mfne(
     recorder:
         Observability sink (see :mod:`repro.obs`); defaults to the ambient
         recorder. Convergence traces are emitted as ``mfne.*`` events.
-    compile_kernel:
-        Compile ``mean_field`` into a
-        :class:`repro.core.kernels.CompiledMeanField` before iterating
-        (bit-identical results; the solver evaluates ``V`` dozens of
-        times, so the one-off build pays for itself immediately). Only a
-        plain :class:`MeanFieldMap` is compiled — already-compiled kernels
-        are reused as-is and subclasses with their own best-response
-        semantics are left untouched.
-    warm_probes:
-        Seed each compiled threshold probe from the previous iterate's
-        counts (:meth:`repro.core.kernels.CompiledMeanField.probe_state`).
-        Consecutive solver iterates move few users, so warm probes gallop
-        in near-``O(N)``; the probe evaluates the same maximal-count
-        predicate, so the visited trajectory is bit-identical to cold
-        probes (pinned by the test suite). Maps without probe support
-        ignore this.
+
+    A plain :class:`MeanFieldMap` is compiled into a
+    :class:`repro.core.kernels.CompiledMeanField` first (bit-identical
+    results; the solver evaluates ``V`` dozens of times, so the one-off
+    build pays for itself immediately); ready-made kernels are reused
+    as-is and subclasses with their own best-response semantics are left
+    untouched. Maps that offer a :meth:`~MeanFieldMap.probe_state` get
+    warm-started probes: consecutive iterates move few users, so each
+    probe gallops out from the previous counts in near-``O(N)``, and the
+    visited trajectory is bit-identical to cold probes (pinned by the
+    test suite).
     """
     check_positive("tolerance", tolerance)
     check_int_positive("max_iterations", max_iterations)
-    if compile_kernel and type(mean_field) is MeanFieldMap:
+    if type(mean_field) is MeanFieldMap:
         mean_field = mean_field.compile()
     # getattr: duck-typed stand-ins only need to provide ``value``.
     probe_state = getattr(mean_field, "probe_state", None)
-    probe = probe_state() if (warm_probes and probe_state is not None) else None
+    probe = probe_state() if probe_state is not None else None
     obs = resolve_recorder(recorder)
     if method == "bisection":
         result = _solve_bisection(mean_field, tolerance, max_iterations, obs,

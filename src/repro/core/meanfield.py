@@ -170,14 +170,14 @@ def _mc_value_point(
     n_users: int,
     delay_model: Optional[EdgeDelayModel],
     seed: SeedLike,
-    compile_kernel: bool = False,
 ) -> float:
-    """One Monte-Carlo sample of the empirical ``V(γ)`` (a runtime task)."""
+    """One Monte-Carlo sample of the empirical ``V(γ)`` (a runtime task).
+
+    One ``V(γ)`` per sampled population runs on the reference map: a
+    kernel build pays off only over several γ.
+    """
     population = sample_population(config, n_users, rng=seed)
-    mean_field = MeanFieldMap(population, delay_model)
-    if compile_kernel:
-        mean_field = mean_field.compile()
-    return mean_field.value(utilization)
+    return MeanFieldMap(population, delay_model).value(utilization)
 
 
 def monte_carlo_value(
@@ -190,7 +190,6 @@ def monte_carlo_value(
     jobs: int = 1,
     cache: Optional[object] = None,
     timeout: Optional[float] = None,
-    compile_kernel: bool = False,
 ) -> MonteCarloValue:
     """Evaluate ``V(γ)`` over ``samples`` independently drawn populations.
 
@@ -199,9 +198,7 @@ def monte_carlo_value(
     :func:`repro.runtime.derive_seeds`), so the returned values are
     bit-identical for any ``jobs`` count; ``cache`` makes repeated
     evaluations (e.g. plotting ``V`` on a γ grid, convergence studies in
-    ``N``) incremental. ``compile_kernel`` evaluates each sample through a
-    :class:`repro.core.kernels.CompiledMeanField` — bit-identical values;
-    worth it when a driver evaluates several γ per sampled population.
+    ``N``) incremental.
     """
     from repro.runtime import TaskRunner, TaskSpec, derive_seeds
 
@@ -212,8 +209,7 @@ def monte_carlo_value(
         TaskSpec(
             fn=_mc_value_point,
             kwargs=dict(config=config, utilization=gamma, n_users=n_users,
-                        delay_model=delay_model,
-                        compile_kernel=compile_kernel),
+                        delay_model=delay_model),
             seed=child,
             name=f"meanfield.mc[{index}]",
         )

@@ -33,9 +33,8 @@ breakpoint/α/Q tables across all ``m`` site kernels via
 :meth:`CompiledMeanField.with_shared_tables` — compile cost is O(unique
 profiles), not O(m · N · m_max). The vector best response then runs as
 ``m`` batched ``user_thresholds``/``user_alphas`` probes, bit-identical
-to the uncompiled per-price scalar scan (pinned by
-``tests/test_multiedge.py``); pass ``compile_kernels=False`` to keep the
-scalar path.
+to the per-price scalar scan :func:`_thresholds_for_prices` (pinned by
+``tests/test_multiedge.py``).
 
 With a single site the system degenerates to the paper's model: when the
 lone site can stand alone (``a_n < c_1`` for every user),
@@ -56,7 +55,6 @@ from repro.core.dtu import DtuConfig, DtuStepper, regrow_rule, run_dtu
 from repro.core.edge_delay import EdgeDelayModel, LinearDelay, ReciprocalDelay
 from repro.core.equilibrium import solve_mfne
 from repro.core.kernels import CompiledMeanField
-from repro.core.meanfield import MeanFieldMap
 from repro.core.tro import queue_and_offload
 from repro.obs.context import get_recorder
 from repro.population.distributions import Distribution, Uniform
@@ -148,10 +146,10 @@ class MultiEdgeSystem:
     geography, which does not change between DTU iterations); pass
     ``latencies`` explicitly to pin the matrix instead of sampling it.
 
-    With ``compile_kernels=True`` (the default) the constructor builds one
-    envelope :class:`CompiledMeanField` plus ``m`` shared-table site
-    kernels, and ``best_response``/``utilizations`` run off batched probes
-    and α-table gathers — bit-identical to the uncompiled scalar scan.
+    The constructor builds one envelope :class:`CompiledMeanField` plus
+    ``m`` shared-table site kernels, and ``best_response``/``utilizations``
+    run off batched probes and α-table gathers — bit-identical to the
+    per-price scalar scan.
     """
 
     def __init__(
@@ -160,7 +158,6 @@ class MultiEdgeSystem:
         sites: Sequence[EdgeSite],
         rng: SeedLike = None,
         latencies: Optional[np.ndarray] = None,
-        compile_kernels: bool = True,
     ):
         if not sites:
             raise ValueError("need at least one edge site")
@@ -189,10 +186,8 @@ class MultiEdgeSystem:
                 "aggregate capacity must exceed mean offered load "
                 f"(E[a]={total_arrival:.3g} >= Σc_j={total_capacity:.3g})"
             )
-        self.base_kernel: Optional[CompiledMeanField] = None
-        self.kernels: Optional[List[CompiledMeanField]] = None
-        if compile_kernels:
-            self.compile()
+        self.kernels: List[CompiledMeanField] = []
+        self.compile()
 
     @property
     def n_sites(self) -> int:
@@ -203,25 +198,22 @@ class MultiEdgeSystem:
     def compile(self, share_memory: bool = False) -> "MultiEdgeSystem":
         """Build the envelope base kernel and the shared-table site kernels.
 
-        Idempotent; returns ``self``. One full ``O(N·m_max)`` build (the
-        envelope deployment, whose per-user latency ``max_j (τ_{ij} +
-        g_j(1))`` dominates every site's reachable comparison value) plus
-        ``m`` O(N) shares.
+        The constructor runs this; later calls return ``self`` unchanged
+        unless they ask for shared memory the kernels lack. One full
+        ``O(N·m_max)`` build (the envelope deployment, whose per-user
+        latency ``max_j (τ_{ij} + g_j(1))`` dominates every site's
+        reachable comparison value) plus ``m`` O(N) shares.
 
         ``share_memory=True`` moves the base kernel's tables into POSIX
         shared memory *before* the site kernels borrow them, so all ``m``
         site kernels reference one table image and pickle by handle —
         process workers evaluating site responses reattach instead of
-        copying the tables per task. Probed floats are bit-identical
-        either way.
+        copying the tables per task. Existing borrowers hold plain-array
+        references, so asking for it later rebuilds (still one full build
+        + m shares). Probed floats are bit-identical either way.
         """
-        if self.kernels is not None:
-            if share_memory and self.base_kernel.shared_memory_name is None:
-                # Existing borrowers hold plain-array references; rebuild so
-                # they inherit the handle (still one full build + m shares).
-                self.base_kernel = None
-                self.kernels = None
-                return self.compile(share_memory=True)
+        if self.kernels and (not share_memory
+                             or self.base_kernel.shared_memory_name):
             return self
         g_at_one = np.array([site.delay_model(1.0) for site in self.sites])
         envelope = (self.latencies + g_at_one[None, :]).max(axis=1)
@@ -253,7 +245,7 @@ class MultiEdgeSystem:
         return _shadow_population(
             self.population, np.ascontiguousarray(self.latencies[:, j]))
 
-    def as_single_site(self) -> Optional[MeanFieldMap]:
+    def as_single_site(self) -> Optional[CompiledMeanField]:
         """The scalar mean-field map when ``m == 1`` and it is well posed.
 
         The paper's model needs ``a_n < c`` for every user; a lone site
@@ -269,10 +261,8 @@ class MultiEdgeSystem:
         shadow = _shadow_population(
             self.population, np.ascontiguousarray(self.latencies[:, 0]),
             capacity=site.capacity_per_user)
-        if self.base_kernel is not None:
-            return CompiledMeanField.with_shared_tables(
-                self.base_kernel, shadow, site.delay_model)
-        return MeanFieldMap(shadow, site.delay_model)
+        return CompiledMeanField.with_shared_tables(
+            self.base_kernel, shadow, site.delay_model)
 
     # -- the vector best-response map --------------------------------------
 
@@ -287,31 +277,22 @@ class MultiEdgeSystem:
     def best_response(self, utilizations: np.ndarray):
         """Per-user (site choice, threshold) given the utilisation vector.
 
-        Returns ``(site_indices, thresholds)``. Compiled systems answer
-        with ``m`` batched ``user_thresholds`` probes over the per-site
-        cohorts; the result is bit-identical to the uncompiled per-price
-        scalar scan — the probe forms ``a·((g_j(γ_j) + τ_{ij}) + w·Δp)``,
-        the scan ``a·((0 + price) + w·Δp)`` with ``price = τ_{ij} +
-        g_j(γ_j)``, the same floats in either order.
+        Returns ``(site_indices, thresholds)``, answered by ``m`` batched
+        ``user_thresholds`` probes over the per-site cohorts. The result
+        is bit-identical to the per-price scalar scan
+        :func:`_thresholds_for_prices` — the probe forms
+        ``a·((g_j(γ_j) + τ_{ij}) + w·Δp)``, the scan ``a·((0 + price) +
+        w·Δp)`` with ``price = τ_{ij} + g_j(γ_j)``, the same floats in
+        either order.
         """
         gammas = self._check_gammas(utilizations)
-        prices = self.offload_prices(gammas)
-        site_indices = np.argmin(prices, axis=1)
-        if self.kernels is None:
-            best_prices = prices[np.arange(self.population.size),
-                                 site_indices]
-            # Lemma 1 with each user's chosen offload price: reuse the
-            # scalar machinery by treating the price as (edge delay +
-            # latency) with a per-user effective latency equal to
-            # best_price and edge delay 0.
-            thresholds = _thresholds_for_prices(self.population, best_prices)
-        else:
-            thresholds = np.zeros(self.population.size, dtype=np.int64)
-            for j, kernel in enumerate(self.kernels):
-                chosen = np.flatnonzero(site_indices == j)
-                if chosen.size:
-                    thresholds[chosen] = kernel.user_thresholds(
-                        chosen, float(gammas[j]))
+        site_indices = np.argmin(self.offload_prices(gammas), axis=1)
+        thresholds = np.zeros(self.population.size, dtype=np.int64)
+        for j, kernel in enumerate(self.kernels):
+            chosen = np.flatnonzero(site_indices == j)
+            if chosen.size:
+                thresholds[chosen] = kernel.user_thresholds(
+                    chosen, float(gammas[j]))
         return site_indices, thresholds
 
     def _site_alphas(self, j: int, chosen: np.ndarray,
@@ -319,8 +300,6 @@ class MultiEdgeSystem:
         """α-table gathers for site ``j``'s cohort, or ``None`` when the
         thresholds are fractional/unreachable and the closed form must
         run instead."""
-        if self.kernels is None:
-            return None
         kernel = self.kernels[j]
         levels = x[chosen]
         t = levels.astype(np.int64)
@@ -394,7 +373,10 @@ class MultiEdgeSystem:
 
 def _thresholds_for_prices(population: Population,
                            prices: np.ndarray) -> np.ndarray:
-    """Lemma-1 thresholds when each user faces its own offload price."""
+    """Lemma-1 thresholds when each user faces its own offload price.
+
+    The scalar reference the site kernels are pinned against.
+    """
     shadow = _shadow_population(population, prices)  # price plays the role of τ
     return best_response_thresholds(shadow, edge_delay=0.0)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.core.equilibrium import solve_mfne
-from repro.core.meanfield import MeanFieldMap
+from repro.core.kernels import compile_mean_field
 from repro.experiments.report import SeriesResult, sparkline
 from repro.experiments.settings import PAPER_G, theoretical_config
 from repro.population.sampler import sample_population
@@ -59,11 +59,12 @@ def run(
         theoretical_config("E[A]<E[S]"), n_users,
         rng=factory.stream("population"),
     )
-    mean_field = MeanFieldMap(population, PAPER_G)
-    gamma_star = solve_mfne(mean_field).utilization
+    # One kernel serves the solve and all four continuous runs.
+    kernel = compile_mean_field(population, PAPER_G)
+    gamma_star = solve_mfne(kernel).utilization
 
     simulation = OnlineSimulation(
-        population, delay_model=PAPER_G,
+        population, kernel=kernel,
         broadcast_interval=5.0, update_interval=10.0, window=25.0,
         seed=factory.stream("run"),
     )
@@ -86,7 +87,7 @@ def run(
     sweep_rows: List[tuple] = []
     for update_interval in (2.0, 10.0, 40.0):
         sweep_sim = OnlineSimulation(
-            population, delay_model=PAPER_G,
+            population, kernel=kernel,
             broadcast_interval=5.0, update_interval=update_interval,
             window=25.0, seed=factory.stream(f"sweep/{update_interval}"),
         )

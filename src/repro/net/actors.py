@@ -1,10 +1,10 @@
 """The two actor roles of the distributed DTU protocol.
 
 :class:`DeviceAgent` is Algorithm 1's device side, taken literally: it
-best-responds (Lemma 1, :func:`repro.core.best_response.optimal_threshold_from_surcharge`)
-to the **latest γ̂ broadcast it actually received** — which under faults
-may be stale, duplicated, or arbitrarily delayed — and reports the
-threshold plus the offered offload rate ``a_n·α_n(x_n)`` back to the edge.
+best-responds (Lemma 1, probed from the fleet's compiled kernel) to the
+**latest γ̂ broadcast it actually received** — which under faults may be
+stale, duplicated, or arbitrarily delayed — and reports the threshold
+plus the offered offload rate ``a_n·α_n(x_n)`` back to the edge.
 
 :class:`EdgeCoordinator` is the edge side: it broadcasts γ̂, measures the
 utilisation from the :class:`~repro.net.messages.ThresholdReport`s
@@ -14,10 +14,12 @@ reports at all — triggers graceful degradation: γ̂ is held, the step size
 decays, and the next broadcast backs off exponentially, so a partitioned
 edge neither diverges nor spins.
 
-The per-device arithmetic (surcharge → staircase search → α) is
-bit-compatible with the vectorised :class:`repro.core.meanfield.MeanFieldMap`
-path, which is what lets the fault-free synchronous run reproduce
-``run_dtu`` trajectories exactly (pinned by ``tests/test_net.py``).
+The per-device probe is bit-identical to the vectorised
+:class:`repro.core.meanfield.MeanFieldMap` path, which is what lets the
+fault-free synchronous run reproduce ``run_dtu`` trajectories exactly
+(pinned by ``tests/test_net.py``); a modulated device, whose rate no
+kernel tabulates, runs the same arithmetic as a scalar staircase search
+(:func:`repro.core.best_response.optimal_threshold_from_surcharge`).
 """
 
 from __future__ import annotations
@@ -134,28 +136,29 @@ class DeviceAgent:
                         virtual_time=self.runtime.now,
                         device=self.address, round=message.round,
                     )
-                self._respond(message, parent=span)
+                self._respond(message.estimate, message.round,
+                              parent=span)
                 if span is not None:
                     self._obs.span_end(
                         span, virtual_time=self.runtime.now,
                         threshold=self.threshold,
                     )
 
-    def _respond(self, broadcast: GammaBroadcast,
+    def _respond(self, estimate: float, broadcast_round: int,
                  parent: Optional[int] = None) -> None:
-        """Lemma 1 best response + report (Algorithm 1, device side)."""
+        """Lemma 1 best response to ``estimate`` + a report stamped with
+        ``broadcast_round`` (Algorithm 1, device side)."""
         if self.kernel is not None:
-            level = self.kernel.user_threshold(self.address,
-                                               broadcast.estimate)
+            level = self.kernel.user_threshold(self.address, estimate)
             self.threshold = float(level)
             self.offload_rate = self.arrival_rate * \
                 self.kernel.user_alpha(self.address, level)
         else:
-            self._scalar_response(broadcast.estimate)
+            self._scalar_response(estimate)
         self.reports_sent += 1
         self.transport.send(
             self.address, self.edge_address,
-            ThresholdReport(self.address, broadcast.round,
+            ThresholdReport(self.address, broadcast_round,
                             self.threshold, self.offload_rate),
             delay=self.report_delay,
             parent=parent,
@@ -172,7 +175,11 @@ class DeviceAgent:
         return self.arrival_rate * float(self.modulation(self.runtime.now))
 
     def _scalar_response(self, estimate: float) -> None:
-        """Staircase search at the instantaneous rate; sets the report."""
+        """Staircase search at the instantaneous rate; sets the report.
+
+        The one scalar Lemma-1 response of the actors, for modulated
+        devices: a kernel tabulates stationary rates only.
+        """
         rate = self.instantaneous_rate()
         intensity = rate / self.service_rate if self.modulation is not None \
             else self.intensity

@@ -32,7 +32,11 @@ import numpy as np
 
 from repro.core.edge_delay import PAPER_DELAY_MODEL, EdgeDelayModel
 from repro.net.actors import EDGE_ADDRESS, DeviceAgent, EdgeCoordinator, NetTrace
-from repro.core.kernels import CompiledMeanField, compile_mean_field
+from repro.core.kernels import (
+    CompiledMeanField,
+    check_kernel,
+    compile_mean_field,
+)
 from repro.net.churn import ChurnConfig, ChurnModel
 from repro.net.clock import Runtime
 from repro.net.messages import MessageLog
@@ -164,10 +168,14 @@ def build_devices(
     """One :class:`DeviceAgent` per user, in index order.
 
     ``kernel`` (a :class:`repro.core.kernels.CompiledMeanField` built for
-    ``population`` + ``delay_model``) is shared by the whole fleet: each
-    agent answers broadcasts with an ``O(log M_n)`` probe into the
-    precompiled staircase instead of its own scalar search.
+    ``population`` + ``delay_model``, checked by
+    :func:`~repro.core.kernels.check_kernel`) is shared by the whole
+    fleet: each agent answers broadcasts with an ``O(log M_n)`` probe
+    into the precompiled staircase. Without one the agents run the scalar
+    staircase search — the path for modulated fleets.
     """
+    if kernel is not None:
+        check_kernel(kernel, population, delay_model)
     devices = []
     for index in range(population.size):
         report_delay = churn_model.report_delay(index) if churn_model else 0.0
@@ -195,7 +203,6 @@ def run_net_dtu(
     config: Optional[NetConfig] = None,
     delay_model: Optional[EdgeDelayModel] = None,
     recorder: Optional[Recorder] = None,
-    compile_kernel: bool = True,
 ) -> NetDtuResult:
     """Run the message-passing DTU protocol over ``population``.
 
@@ -211,11 +218,9 @@ def run_net_dtu(
     recorder:
         Observability sink (see :mod:`repro.obs`); defaults to the ambient
         recorder.
-    compile_kernel:
-        Build one shared :class:`repro.core.kernels.CompiledMeanField` for
-        the fleet, so every broadcast is answered by N ``O(log M_n)``
-        probes instead of N staircase searches. Responses are
-        bit-identical either way.
+
+    The fleet shares one :class:`repro.core.kernels.CompiledMeanField`, so
+    every broadcast is answered by N ``O(log M_n)`` probes.
     """
     config = config or NetConfig()
     delay_model = delay_model if delay_model is not None else PAPER_DELAY_MODEL
@@ -232,13 +237,11 @@ def run_net_dtu(
         churn_model = ChurnModel(config.churn, population.size, horizon,
                                  seed=churn_seed)
 
-    kernel = compile_mean_field(population, delay_model) \
-        if compile_kernel else None
     devices = build_devices(
         population, delay_model, runtime, transport,
         heartbeat_interval=config.heartbeat_interval,
         churn_model=churn_model,
-        kernel=kernel,
+        kernel=compile_mean_field(population, delay_model),
         recorder=recorder,
     )
     coordinator = EdgeCoordinator(

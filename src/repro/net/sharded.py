@@ -46,11 +46,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.best_response import optimal_threshold_from_surcharge
 from repro.core.edge_delay import EdgeDelayModel
 from repro.core.kernels import CompiledMeanField
 from repro.core.multiedge import MultiEdgeSystem
-from repro.core.tro import offload_probability
 from repro.net.actors import DeviceAgent, EdgeCoordinator, NetTrace
 from repro.net.churn import ChurnModel
 from repro.net.clock import Runtime
@@ -61,7 +59,6 @@ from repro.net.messages import (
     JoinLeave,
     MessageLog,
     ShardBroadcast,
-    ThresholdReport,
 )
 from repro.net.protocol import NetConfig, build_transport
 from repro.net.transport import Transport
@@ -108,11 +105,12 @@ class ShardedDeviceAgent(DeviceAgent):
 
     Per-site state replaces the scalar broadcast handler: the device
     holds its latency row ``τ̂_i·``, every site's congestion curve, and
-    (optionally) the shared-table site kernels; each
+    the shared-table site kernels (none when modulated); each
     :class:`ShardBroadcast` from its *current home* triggers a site
-    choice, a possible migration, and a Lemma-1 best response against the
-    chosen site's γ̂ — an ``O(log M_n)`` kernel probe, bit-identical to
-    the scalar staircase search.
+    choice, a possible migration, and :class:`DeviceAgent`'s Lemma-1
+    response to the home site's γ̂, reported to the home site with its
+    round. Migrating re-points the home profile — address, latency,
+    congestion curve and kernel — at the new site.
     """
 
     def __init__(
@@ -148,15 +146,10 @@ class ShardedDeviceAgent(DeviceAgent):
             transport=transport,
             heartbeat_interval=heartbeat_interval,
             report_delay=report_delay,
-            kernel=None,
+            kernel=site_kernels[home] if site_kernels else None,
             modulation=modulation,
             recorder=recorder,
         )
-        if modulation is not None and site_kernels is not None:
-            raise ValueError(
-                "modulation requires the scalar response path; pass "
-                "site_kernels=None (shared tables are stationary)"
-            )
         self.site_latencies = np.asarray(site_latencies, dtype=float)
         self.site_delay_models = list(site_delay_models)
         self.site_kernels = list(site_kernels) if site_kernels else None
@@ -206,60 +199,39 @@ class ShardedDeviceAgent(DeviceAgent):
 
     def _respond_sharded(self, broadcast: ShardBroadcast,
                          parent: Optional[int] = None) -> None:
-        """Site choice → (maybe) migration → Lemma-1 response → report."""
+        """Site choice → (maybe) migration → Lemma-1 response at home."""
         estimates = broadcast.estimates
-        prices = np.array([
-            model(estimates[k]) + self.site_latencies[k]
-            for k, model in enumerate(self.site_delay_models)
-        ])
-        target = int(np.argmin(prices))
-        if target != self.home and self.migrate:
-            self.transport.send(self.address, self.edge_address,
-                                JoinLeave(self.address, False),
-                                parent=parent)
-            self.home = target
-            self.edge_address = site_address(target)
-            # Keep the scalar-fallback profile consistent with the new home
-            # (heartbeats and churn announcements already follow
-            # ``edge_address``).
-            self.offload_latency = float(self.site_latencies[target])
-            self.delay_model = self.site_delay_models[target]
-            self.migrations += 1
-            self.transport.send(self.address, self.edge_address,
-                                JoinLeave(self.address, True),
-                                parent=parent)
-            if self._obs.enabled:
-                self._obs.count("sharded.migrations")
-        gamma = estimates[target]
+        if self.migrate:
+            prices = np.array([
+                model(estimates[k]) + self.site_latencies[k]
+                for k, model in enumerate(self.site_delay_models)
+            ])
+            target = int(np.argmin(prices))
+            if target != self.home:
+                self._migrate(target, parent)
+        # Priced at, and reported to, the home site with its round: the
+        # home coordinator's newest-round and staleness rules compare the
+        # report's round against its own counter.
+        home = self.home
+        self._respond(estimates[home], broadcast.rounds[home], parent=parent)
+
+    def _migrate(self, target: int, parent: Optional[int]) -> None:
+        """Leave the home site, join ``target``, and answer from there."""
+        self.transport.send(self.address, self.edge_address,
+                            JoinLeave(self.address, False), parent=parent)
+        self.home = target
+        # Heartbeats and churn announcements follow ``edge_address``; the
+        # response follows the profile and the kernel.
+        self.edge_address = site_address(target)
+        self.offload_latency = float(self.site_latencies[target])
+        self.delay_model = self.site_delay_models[target]
         if self.site_kernels is not None:
-            kernel = self.site_kernels[target]
-            level = kernel.user_threshold(self.address, gamma)
-            self.threshold = float(level)
-            self.offload_rate = self.arrival_rate * \
-                kernel.user_alpha(self.address, level)
-        else:
-            rate = self.instantaneous_rate()
-            intensity = rate / self.service_rate \
-                if self.modulation is not None else self.intensity
-            surcharge = (self.site_delay_models[target](gamma)
-                         + float(self.site_latencies[target])
-                         + self.weight
-                         * (self.energy_offload - self.energy_local))
-            best = float(optimal_threshold_from_surcharge(
-                rate, intensity, surcharge,
-            ))
-            self.threshold = best
-            self.offload_rate = rate * offload_probability(
-                best, intensity,
-            )
-        self.reports_sent += 1
-        self.transport.send(
-            self.address, self.edge_address,
-            ThresholdReport(self.address, broadcast.rounds[target],
-                            self.threshold, self.offload_rate),
-            delay=self.report_delay,
-            parent=parent,
-        )
+            self.kernel = self.site_kernels[target]
+        self.migrations += 1
+        self.transport.send(self.address, self.edge_address,
+                            JoinLeave(self.address, True), parent=parent)
+        if self._obs.enabled:
+            self._obs.count("sharded.migrations")
 
 
 class _ShardController:
@@ -509,7 +481,6 @@ def run_sharded_dtu(
     system: MultiEdgeSystem,
     config: Optional[ShardedNetConfig] = None,
     recorder: Optional[Recorder] = None,
-    compile_kernels: bool = True,
     modulation: Optional[Callable[[float], float]] = None,
     share_memory: bool = False,
 ) -> ShardedDtuResult:
@@ -528,15 +499,12 @@ def run_sharded_dtu(
         fault-free and synchronous.
     recorder:
         Observability sink (see :mod:`repro.obs`).
-    compile_kernels:
-        Use the system's shared-table site kernels for device responses
-        (``O(log M_n)`` probes, bit-identical to the scalar staircase
-        searches run otherwise).
     modulation:
         Optional arrival-rate schedule ``m(t)`` (see
         :mod:`repro.workload.schedule`): every device best-responds with
-        its instantaneous rate ``a_n·m(t)``. Forces the scalar response
-        path — the shared site tables are stationary.
+        its instantaneous rate ``a_n·m(t)`` by the scalar staircase — the
+        shared site tables are stationary. Unmodulated devices probe the
+        system's site kernels (``O(log M_n)``).
     share_memory:
         Back the compiled site kernels with one shared-memory table image
         (``system.compile(share_memory=True)``) so a multi-process host
@@ -560,9 +528,8 @@ def run_sharded_dtu(
                                  seed=churn_seed)
 
     site_kernels = None
-    if compile_kernels and modulation is None:
-        system.compile(share_memory=share_memory)
-        site_kernels = system.kernels
+    if modulation is None:
+        site_kernels = system.compile(share_memory=share_memory).kernels
 
     initial = np.full(n_sites, config.initial_estimate)
     homes, _ = system.best_response(initial)

@@ -46,8 +46,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.edge_delay import PAPER_DELAY_MODEL, EdgeDelayModel
-from repro.core.kernels import CompiledMeanField, compile_mean_field
+from repro.core.edge_delay import EdgeDelayModel
+from repro.core.kernels import (
+    CompiledMeanField,
+    check_kernel,
+    compile_mean_field,
+)
 from repro.net.actors import EDGE_ADDRESS, EdgeCoordinator
 from repro.net.messages import JoinLeave, ReportBatch
 from repro.obs.metrics import MetricsRegistry
@@ -361,12 +365,11 @@ class DecisionService:
     ):
         self.population = population
         self.config = config or ServeConfig()
-        self.delay_model = delay_model if delay_model is not None \
-            else PAPER_DELAY_MODEL
-        self.kernel = kernel if kernel is not None else \
-            compile_mean_field(population, self.delay_model)
-        if self.kernel.population is not population:
-            raise ValueError("kernel was compiled for a different population")
+        # A kernel passed in fixes the population and the delay model.
+        self.kernel = compile_mean_field(population, delay_model) \
+            if kernel is None \
+            else check_kernel(kernel, population, delay_model)
+        self.delay_model = self.kernel.delay_model
         # The registry always exists (it feeds /metrics); tracer/spans
         # arrive via an explicit recorder from the caller.
         if recorder is not None and getattr(recorder, "enabled", False):

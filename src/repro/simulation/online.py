@@ -28,10 +28,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.best_response import optimal_threshold_from_surcharge
 from repro.core.dtu import DtuStepper
-from repro.core.edge_delay import PAPER_DELAY_MODEL, EdgeDelayModel
-from repro.core.kernels import CompiledMeanField, compile_mean_field
+from repro.core.edge_delay import EdgeDelayModel
+from repro.core.kernels import (
+    CompiledMeanField,
+    check_kernel,
+    compile_mean_field,
+)
 from repro.population.sampler import Population
 from repro.simulation.engine import DiscreteEventSimulator
 from repro.simulation.measurement import ExponentialService, ServiceModel
@@ -106,7 +109,13 @@ class OnlineResult:
 
 
 class OnlineSimulation:
-    """The continuous-time, asynchronous form of Algorithm 1."""
+    """The continuous-time, asynchronous form of Algorithm 1.
+
+    Every device update is an ``O(log M_n)`` probe into one shared
+    compiled kernel — built here, or passed in as ``kernel``, which then
+    fixes the population and the delay model (see
+    :func:`~repro.core.kernels.check_kernel`).
+    """
 
     def __init__(
         self,
@@ -119,17 +128,12 @@ class OnlineSimulation:
         initial_step: float = 0.1,
         seed: SeedLike = None,
         kernel: Optional[CompiledMeanField] = None,
-        compile_kernel: bool = True,
     ):
         self.population = population
-        self.delay_model = delay_model if delay_model is not None \
-            else PAPER_DELAY_MODEL
-        if kernel is not None and kernel.population is not population:
-            raise ValueError(
-                "kernel was compiled for a different population"
-            )
-        self.kernel = kernel
-        self.compile_kernel = compile_kernel
+        self.kernel = compile_mean_field(population, delay_model) \
+            if kernel is None \
+            else check_kernel(kernel, population, delay_model)
+        self.delay_model = self.kernel.delay_model
         self.service_model = service_model or ExponentialService()
         self.broadcast_interval = check_positive("broadcast_interval",
                                                  broadcast_interval)
@@ -162,12 +166,7 @@ class OnlineSimulation:
         )
         stepper = DtuStepper(initial_step=self.initial_step)
         broadcasts = 0
-        # One shared compiled kernel replaces the per-tick scalar staircase
-        # searches: each device update becomes an O(log M_n) probe into the
-        # precompiled breakpoints (bit-identical thresholds either way).
         kernel = self.kernel
-        if kernel is None and self.compile_kernel:
-            kernel = compile_mean_field(population, self.delay_model)
         services = [
             self.service_model.distribution(float(population.service_rates[i]))
             for i in range(n)
@@ -210,20 +209,7 @@ class OnlineSimulation:
             )
 
         def on_threshold_update(i: int) -> None:
-            if kernel is not None:
-                best = float(kernel.user_threshold(i, stepper.estimate))
-            else:
-                surcharge = (self.delay_model(stepper.estimate)
-                             + population.offload_latencies[i]
-                             + population.weights[i]
-                             * (population.energy_offload[i]
-                                - population.energy_local[i]))
-                best = float(optimal_threshold_from_surcharge(
-                    float(population.arrival_rates[i]),
-                    float(population.intensities[i]),
-                    float(surcharge),
-                ))
-            set_threshold(i, best)
+            set_threshold(i, float(kernel.user_threshold(i, stepper.estimate)))
             sim.schedule_after(
                 float(update_rng.exponential(self.update_interval)),
                 lambda: on_threshold_update(i),

@@ -81,7 +81,6 @@ def _sweep_point(
     seed: SeedLike,
     backend: Optional[str] = None,
     sim_horizon: float = 150.0,
-    compile_kernel: bool = True,
 ) -> tuple:
     """Solve one sweep point (a pure, seeded :mod:`repro.runtime` task).
 
@@ -99,9 +98,7 @@ def _sweep_point(
     config, delay_model = _config(**{key: float(value)})
     gen = as_generator(seed)
     population = sample_population(config, n_users, rng=gen)
-    mean_field = MeanFieldMap(population, delay_model)
-    if compile_kernel:
-        mean_field = mean_field.compile()
+    mean_field = MeanFieldMap(population, delay_model).compile()
     equilibrium = solve_mfne(mean_field)
     thresholds = mean_field.best_response(equilibrium.utilization)
     alpha = mean_field.offload_probabilities(thresholds)
@@ -196,7 +193,6 @@ def run_sweep(
     timeout: Optional[float] = None,
     backend: Optional[str] = None,
     sim_horizon: float = 150.0,
-    compile_kernel: bool = True,
     shared_kernel: bool = False,
 ) -> SeriesResult:
     """Sweep one knob over ``values``; solve the equilibrium at each point.
@@ -241,8 +237,6 @@ def run_sweep(
             raise ValueError(
                 "shared_kernel cannot cross-check against a simulation "
                 "backend: the simulation path resamples per point")
-        if not compile_kernel:
-            raise ValueError("shared_kernel requires compile_kernel=True")
         config, delay_model = _config(capacity=float(min(values)))
         population = sample_population(config, n_users,
                                        rng=as_generator(seed))
@@ -264,8 +258,7 @@ def run_sweep(
                 fn=_sweep_point,
                 kwargs=dict(parameter=parameter, value=float(value),
                             n_users=n_users, include_dtu=include_dtu,
-                            backend=backend, sim_horizon=sim_horizon,
-                            compile_kernel=compile_kernel),
+                            backend=backend, sim_horizon=sim_horizon),
                 seed=seed,
                 name=f"sweep[{parameter}={value:g}]",
             )

@@ -33,7 +33,7 @@ from repro.core.edge_delay import PAPER_DELAY_MODEL, EdgeDelayModel
 from repro.core.kernels import compile_mean_field
 from repro.net.actors import DeviceAgent, EdgeCoordinator
 from repro.net.churn import ChurnModel
-from repro.net.messages import GammaBroadcast, ThresholdReport
+from repro.net.messages import ThresholdReport
 from repro.net.protocol import (
     NetConfig,
     NetDtuResult,
@@ -120,12 +120,12 @@ class LearningDeviceAgent(DeviceAgent):
         super().__init__(*args, **kwargs)
         self.policy = policy
 
-    def _respond(self, broadcast: GammaBroadcast,
+    def _respond(self, estimate: float, broadcast_round: int,
                  parent: Optional[int] = None) -> None:
         rate = self.instantaneous_rate()
         local, offload = arm_costs(
-            estimate=broadcast.estimate,
-            edge_delay=float(self.delay_model(broadcast.estimate)),
+            estimate=estimate,
+            edge_delay=float(self.delay_model(estimate)),
             offload_latency=self.offload_latency,
             weight=self.weight,
             energy_local=self.energy_local,
@@ -139,7 +139,7 @@ class LearningDeviceAgent(DeviceAgent):
         self.reports_sent += 1
         self.transport.send(
             self.address, self.edge_address,
-            ThresholdReport(self.address, broadcast.round,
+            ThresholdReport(self.address, broadcast_round,
                             self.threshold, self.offload_rate),
             delay=self.report_delay,
             parent=parent,
@@ -179,7 +179,6 @@ def run_workload_net(
     config: Optional[WorkloadNetConfig] = None,
     delay_model: Optional[EdgeDelayModel] = None,
     recorder: Optional[Recorder] = None,
-    compile_kernel: bool = True,
     checkpoint_every: int = 5,
     engine: Optional[ScheduleEngine] = None,
 ) -> WorkloadNetResult:
@@ -191,10 +190,10 @@ def run_workload_net(
     the post-run lag report, and ``engine`` injects a prebuilt
     :class:`ScheduleEngine` (tests use this to share γ* caches).
 
-    ``compile_kernel`` only applies when the run degenerates to the
-    stationary Lemma-1 case — modulated or learning devices take the
-    scalar path (compiled staircase tables are stationary by
-    construction).
+    Only a run that degenerates to the stationary Lemma-1 case compiles a
+    fleet kernel: modulated devices take the scalar staircase (compiled
+    tables are stationary by construction) and learning devices have no
+    threshold to probe.
     """
     config = config or WorkloadNetConfig()
     scenario = scenario or build_workload_scenario("steady")
@@ -232,7 +231,7 @@ def run_workload_net(
 
     modulation = None if stationary else engine.modulation
     kernel = compile_mean_field(population, delay_model) \
-        if compile_kernel and stationary and lemma1 else None
+        if stationary and lemma1 else None
 
     if lemma1:
         devices = build_devices(

@@ -456,9 +456,6 @@ class ScheduleEngine:
         key = round(factor, 12)
         cached = self._gamma_cache.get(key)
         if cached is None:
-            cached = solve_mfne(
-                self.mean_field_at(t),
-                compile_kernel=self._grid is None,
-            ).utilization
+            cached = solve_mfne(self.mean_field_at(t)).utilization
             self._gamma_cache[key] = cached
         return cached

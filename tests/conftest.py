@@ -65,9 +65,31 @@ def pytest_collection_modifyitems(config, items):
 
 from repro.core.edge_delay import ReciprocalDelay
 from repro.core.meanfield import MeanFieldMap
+from repro.core.multiedge import MultiEdgeSystem, _thresholds_for_prices
 from repro.population.distributions import Uniform
 from repro.population.sampler import PopulationConfig, sample_population
 from repro.population.user import UserProfile
+
+
+class _ScalarScanSystem(MultiEdgeSystem):
+    """A multi-edge system answering by the per-price scalar scan and the
+    closed-form α: the reference its shared-table site kernels are pinned
+    against."""
+
+    def best_response(self, utilizations):
+        prices = self.offload_prices(utilizations)
+        sites = np.argmin(prices, axis=1)
+        chosen = prices[np.arange(self.population.size), sites]
+        return sites, _thresholds_for_prices(self.population, chosen)
+
+    def _site_alphas(self, j, chosen, x):
+        return None
+
+
+@pytest.fixture(scope="session")
+def scalar_scan_system():
+    """The multi-edge reference class (construct it like MultiEdgeSystem)."""
+    return _ScalarScanSystem
 
 
 @pytest.fixture

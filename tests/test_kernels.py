@@ -57,6 +57,17 @@ def _random_population(seed: int, n_users: int, a_max: float = 4.0,
     return sample_population(config, n_users, rng=seed)
 
 
+class _ReferenceMap(MeanFieldMap):
+    """The uncompiled map: the solvers compile only exact MeanFieldMaps."""
+
+
+class _ColdProbeKernel(CompiledMeanField):
+    """A kernel without warm starts: the solvers probe it cold."""
+
+    def probe_state(self):
+        return None
+
+
 def _deterministic_population(n_users: int, *, arrival: float, service: float,
                               latency: float = 0.0, energy_local: float = 0.0,
                               energy_offload: float = 0.0,
@@ -280,7 +291,8 @@ class TestSolverIntegration:
         from repro.core.equilibrium import solve_mfne
 
         compiled = solve_mfne(mean_field)               # auto-compiles
-        uncompiled = solve_mfne(mean_field, compile_kernel=False)
+        uncompiled = solve_mfne(
+            _ReferenceMap(mean_field.population, mean_field.delay_model))
         assert compiled.utilization == uncompiled.utilization
         assert compiled.value == uncompiled.value
         assert compiled.iterations == uncompiled.iterations
@@ -291,7 +303,9 @@ class TestSolverIntegration:
 
         config = DtuConfig(seed=11, update_probability=0.8)
         compiled = run_dtu(mean_field, config)          # auto-compiles
-        uncompiled = run_dtu(mean_field, config, compile_kernel=False)
+        uncompiled = run_dtu(
+            _ReferenceMap(mean_field.population, mean_field.delay_model),
+            config)
         assert compiled.estimated_utilization == \
             uncompiled.estimated_utilization
         assert compiled.actual_utilization == uncompiled.actual_utilization
@@ -341,8 +355,8 @@ class TestLazyTables:
     """Lever 2: deferred probe layout + on-demand α/Q fill, byte-equal."""
 
     def test_lazy_matches_eager_byte_equal(self, small_population):
-        lazy = CompiledMeanField(small_population, lazy_tables=True)
-        eager = CompiledMeanField(small_population, lazy_tables=False)
+        lazy = CompiledMeanField(small_population)
+        eager = CompiledMeanField(small_population).materialize()
         # Gather through the lazy kernel in an arbitrary order first.
         for gamma in (0.7, 0.0, 0.3):
             assert lazy.value(gamma) == eager.value(gamma)
@@ -353,16 +367,21 @@ class TestLazyTables:
         assert lazy._breakpoints.tobytes() == eager._breakpoints.tobytes()
 
     def test_materialize_before_any_gather_byte_equal(self, small_population):
-        lazy = CompiledMeanField(small_population, lazy_tables=True)
-        eager = CompiledMeanField(small_population, lazy_tables=False)
-        lazy.materialize()
-        assert lazy._alpha_table.tobytes() == eager._alpha_table.tobytes()
-        assert lazy._queue_table.tobytes() == eager._queue_table.tobytes()
+        """The chunked eager fill equals one elementwise tro evaluation of
+        every reachable (m, θ_n) entry."""
+        kernel = CompiledMeanField(small_population).materialize()
+        counts = kernel._max_thresholds
+        levels = np.concatenate([np.arange(m + 1) for m in counts])
+        queue, alpha = queue_and_offload(
+            levels.astype(float),
+            np.repeat(small_population.intensities, counts + 1))
+        assert kernel._alpha_table.tobytes() == alpha.tobytes()
+        assert kernel._queue_table.tobytes() == queue.tobytes()
 
     def test_table_gather_only_never_builds_probe_layout(
             self, small_population):
         """A kernel used purely for α/Q gathers skips the probe image."""
-        kernel = CompiledMeanField(small_population, lazy_tables=True)
+        kernel = CompiledMeanField(small_population)
         thresholds = np.ones(small_population.size)
         kernel.offload_probabilities(thresholds)
         assert kernel._probe_breakpoints is None
@@ -378,7 +397,8 @@ class TestWarmProbes:
 
         kernel = mean_field.compile()
         warm = solve_mfne(kernel)
-        cold = solve_mfne(kernel, warm_probes=False)
+        cold = solve_mfne(_ColdProbeKernel.with_shared_tables(
+            kernel, kernel.population, kernel.delay_model))
         assert warm.history == cold.history
         assert warm.utilization == cold.utilization
         assert warm.value == cold.value
@@ -390,7 +410,8 @@ class TestWarmProbes:
         kernel = mean_field.compile()
         config = DtuConfig(seed=11, update_probability=0.8)
         warm = run_dtu(kernel, config)
-        cold = run_dtu(kernel, config, warm_probes=False)
+        cold = run_dtu(_ColdProbeKernel.with_shared_tables(
+            kernel, kernel.population, kernel.delay_model), config)
         assert warm.estimated_utilization == cold.estimated_utilization
         assert warm.actual_utilization == cold.actual_utilization
         np.testing.assert_array_equal(

@@ -151,6 +151,15 @@ class TestValueEvaluationBudget:
     needed before the damped loop.
     """
 
+    class _ReferenceMap(MeanFieldMap):
+        """The uncompiled map: solve_mfne compiles only exact
+        MeanFieldMaps."""
+
+    @classmethod
+    def _uncompiled(cls, mean_field):
+        return cls._ReferenceMap(mean_field.population,
+                                 mean_field.delay_model)
+
     @staticmethod
     def _solve_counting(mean_field, **kwargs):
         from repro.obs import MetricsRegistry, ObsRecorder, use_recorder
@@ -163,7 +172,7 @@ class TestValueEvaluationBudget:
     def test_bisection_budget(self, mean_field):
         """V(0), V(1), one per bisection step, one final readout."""
         result, evaluations = self._solve_counting(
-            mean_field, compile_kernel=False)
+            self._uncompiled(mean_field))
         assert result.converged
         assert evaluations == result.iterations + 3
 
@@ -175,8 +184,7 @@ class TestValueEvaluationBudget:
     def test_damped_budget(self, mean_field):
         """One evaluation per iteration plus the final readout."""
         result, evaluations = self._solve_counting(
-            mean_field, method="damped", tolerance=1e-8,
-            compile_kernel=False)
+            self._uncompiled(mean_field), method="damped", tolerance=1e-8)
         assert result.converged
         assert evaluations == result.iterations + 1
 
@@ -187,7 +195,7 @@ class TestValueEvaluationBudget:
         tolerance reaches it with the standard fixture.
         """
         result, evaluations = self._solve_counting(
-            mean_field, tolerance=0.99, compile_kernel=False)
+            self._uncompiled(mean_field), tolerance=0.99)
         assert result.converged
         assert result.iterations == 1
         assert evaluations == 2

@@ -239,10 +239,9 @@ class TestCompiledEquivalence:
     ]
 
     @pytest.fixture(scope="class")
-    def scalar_system(self, system):
-        return MultiEdgeSystem(system.population, system.sites,
-                               latencies=system.latencies,
-                               compile_kernels=False)
+    def scalar_system(self, system, scalar_scan_system):
+        return scalar_scan_system(system.population, system.sites,
+                                  latencies=system.latencies)
 
     def test_kernels_share_tables(self, system):
         assert system.kernels is not None

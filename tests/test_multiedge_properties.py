@@ -66,10 +66,10 @@ _gamma_lists = st.lists(
     min_size=1, max_size=6)
 
 
-def _system(pop_seed, n_sites, site_seed, compile_kernels=True):
+def _system(pop_seed, n_sites, site_seed):
     population = sample_population(_CONFIG, _N_USERS, rng=pop_seed)
     return MultiEdgeSystem(population, tiered_sites(n_sites),
-                           rng=site_seed, compile_kernels=compile_kernels)
+                           rng=site_seed)
 
 
 @given(pop_seed=_pop_seeds, n_sites=_site_counts, site_seed=_site_seeds)
@@ -126,13 +126,14 @@ def test_load_conservation(pop_seed, site_seed, gammas):
 
 @given(pop_seed=_pop_seeds, site_seed=_site_seeds, gammas=_gamma_lists)
 @settings(max_examples=25)
-def test_compiled_matches_scalar_scan(pop_seed, site_seed, gammas):
+def test_compiled_matches_scalar_scan(pop_seed, site_seed, gammas,
+                                      scalar_scan_system):
     """Shared-table kernels and the scalar scan are bit-identical."""
     gammas = np.asarray(gammas)
     compiled = _system(pop_seed, gammas.size, site_seed)
-    scalar = MultiEdgeSystem(
+    scalar = scalar_scan_system(
         compiled.population, compiled.sites,
-        latencies=compiled.latencies, compile_kernels=False)
+        latencies=compiled.latencies)
     ci, ti = compiled.best_response(gammas)
     si, ts = scalar.best_response(gammas)
     assert np.array_equal(ci, si)

@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core.dtu import DtuConfig, run_dtu
+from repro.core.edge_delay import PAPER_DELAY_MODEL, ReciprocalDelay
+from repro.core.kernels import compile_mean_field
 from repro.core.meanfield import MeanFieldMap
 from repro.net import (
     ChurnConfig,
@@ -34,6 +36,7 @@ from repro.net import (
     Runtime,
     ThresholdReport,
     VirtualClock,
+    build_devices,
     run_net_dtu,
     with_faults,
 )
@@ -43,10 +46,9 @@ from repro.population.sampler import PopulationConfig, sample_population
 pytestmark = pytest.mark.net
 
 
-@pytest.fixture(scope="module")
-def fleet():
-    """A 60-device heterogeneous fleet (Section IV-A style, scaled down)."""
-    config = PopulationConfig(
+def fleet_config():
+    """Section IV-A style population knobs, scaled down."""
+    return PopulationConfig(
         arrival=Uniform(0.0, 4.0),
         service=Uniform(1.0, 5.0),
         latency=Uniform(0.0, 1.0),
@@ -54,7 +56,12 @@ def fleet():
         energy_offload=Uniform(0.0, 1.0),
         capacity=10.0,
     )
-    return sample_population(config, 60, rng=7)
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    """A 60-device heterogeneous fleet."""
+    return sample_population(fleet_config(), 60, rng=7)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +468,26 @@ class TestFaultTolerance:
         assert result.converged
         assert 0.0 <= result.estimated_utilization <= 1.0
         assert result.log.count("delivered") > 0
+
+
+class TestBuildDevices:
+    def test_kernel_fixes_population_and_delay_model(self, fleet):
+        """The fleet kernel must have been compiled for this population
+        and this delay model; a mismatch is refused, not served."""
+        kernel = compile_mean_field(fleet, PAPER_DELAY_MODEL)
+
+        def build(population, delay_model):
+            runtime = Runtime()
+            return build_devices(population, delay_model, runtime,
+                                 LocalTransport(runtime), kernel=kernel)
+
+        with pytest.raises(ValueError, match="delay model"):
+            build(fleet, ReciprocalDelay(1.05, 4.0))
+        other = sample_population(fleet_config(), 60, rng=8)
+        with pytest.raises(ValueError, match="population"):
+            build(other, PAPER_DELAY_MODEL)
+        assert all(d.kernel is kernel
+                   for d in build(fleet, PAPER_DELAY_MODEL))
 
 
 class TestConfig:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.edge_delay import ReciprocalDelay
 from repro.core.equilibrium import solve_mfne
+from repro.core.kernels import compile_mean_field
 from repro.core.meanfield import MeanFieldMap
 from repro.population.sampler import sample_population
 from repro.simulation.online import OnlineSimulation, WindowedRateEstimator
@@ -68,6 +70,19 @@ class TestOnlineSimulation:
         assert set(arrays) == {"times", "estimated", "measured",
                                "mean_threshold"}
         assert all(isinstance(v, np.ndarray) for v in arrays.values())
+
+    def test_kernel_fixes_the_delay_model(self, online_population,
+                                          paper_delay):
+        """A kernel compiled for one delay model is not run under
+        another: the simulation adopts the kernel's and refuses a
+        different one."""
+        kernel = compile_mean_field(online_population,
+                                    ReciprocalDelay(2.0, 3.0))
+        simulation = OnlineSimulation(online_population, kernel=kernel)
+        assert simulation.delay_model is kernel.delay_model
+        with pytest.raises(ValueError, match="delay model"):
+            OnlineSimulation(online_population, delay_model=paper_delay,
+                             kernel=kernel)
 
     def test_validation(self, online_population):
         with pytest.raises(ValueError):

@@ -475,6 +475,3 @@ class TestSharedMemoryEquivalence:
         with pytest.raises(ValueError, match="simulation"):
             run_sweep("capacity", [10.0], n_users=50, backend="event",
                       shared_kernel=True)
-        with pytest.raises(ValueError, match="compile_kernel"):
-            run_sweep("capacity", [10.0], n_users=50, compile_kernel=False,
-                      shared_kernel=True)

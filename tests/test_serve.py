@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.dtu import DtuConfig, run_dtu
-from repro.core.edge_delay import PAPER_DELAY_MODEL
+from repro.core.edge_delay import PAPER_DELAY_MODEL, ReciprocalDelay
 from repro.core.kernels import compile_mean_field
 from repro.core.meanfield import MeanFieldMap
 from repro.population.sampler import sample_population
@@ -247,6 +247,20 @@ class TestDecisionService:
                 assert decisions.offload_probabilities[row] == alpha
                 assert decisions.offload_rates[row] == \
                     population.arrival_rates[index] * alpha
+
+    def test_kernel_fixes_population_and_delay_model(self, population,
+                                                     kernel):
+        """A kernel serves what it was compiled for: the service adopts
+        its delay model and refuses another model or population."""
+        service = DecisionService(population, kernel=kernel)
+        assert service.delay_model is kernel.delay_model
+        with pytest.raises(ValueError, match="delay model"):
+            DecisionService(population, kernel=kernel,
+                            delay_model=ReciprocalDelay(1.05, 4.0))
+        other = sample_population(build_scenario("paper-theoretical"), 64,
+                                  rng=1)
+        with pytest.raises(ValueError, match="population"):
+            DecisionService(other, kernel=kernel)
 
     def test_single_decide_inlines_the_decision(self, population):
         with DecisionService(population) as service:

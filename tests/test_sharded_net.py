@@ -39,6 +39,8 @@ from repro.net import (
     run_sharded_dtu,
     site_address,
 )
+from repro.net.messages import ThresholdReport
+from repro.net.sharded import SiteCoordinator
 from repro.population.distributions import Uniform
 from repro.population.sampler import PopulationConfig, sample_population
 
@@ -88,20 +90,26 @@ class TestSingleSiteDegeneration:
         assert sharded.migrations == 0
         assert np.all(sharded.final_homes == 0)
 
-    def test_uncompiled_devices_agree(self, population):
-        site = EdgeSite("solo", population.capacity,
-                        ReciprocalDelay(1.1, 1.0), Uniform(0.0, 1.0))
-        solo = MultiEdgeSystem(
-            population, [site],
-            latencies=population.offload_latencies[:, None])
-        fast = run_sharded_dtu(solo, ShardedNetConfig())
-        slow = run_sharded_dtu(solo, ShardedNetConfig(),
-                               compile_kernels=False)
-        assert np.array_equal(fast.estimated_utilizations,
-                              slow.estimated_utilizations)
-        a = fast.traces[0].as_arrays()
-        b = slow.traces[0].as_arrays()
-        assert np.array_equal(a["measured"], b["measured"])
+class TestScalarDevices:
+    def test_unit_modulation_matches_kernel_run(self, system):
+        """Modulated devices answer by the scalar staircase; at m(t) = 1.0
+        it must reproduce the site kernels' probes bit for bit — site
+        choice, migrations and reports included, under loss and jitter."""
+        config = ShardedNetConfig(
+            faults=FaultConfig(loss=0.1, jitter=0.2), seed=5,
+            max_rounds=60)
+        kernel = run_sharded_dtu(system, config)
+        scalar = run_sharded_dtu(system, config, modulation=lambda t: 1.0)
+        assert kernel.migrations > 0
+        assert scalar.log == kernel.log
+        assert scalar.migrations == kernel.migrations
+        assert np.array_equal(scalar.final_homes, kernel.final_homes)
+        assert np.array_equal(scalar.estimated_utilizations,
+                              kernel.estimated_utilizations)
+        for a, b in zip(_trace_arrays(scalar), _trace_arrays(kernel)):
+            for key in ("times", "estimated", "measured", "heard",
+                        "members"):
+                assert np.array_equal(a[key], b[key]), key
 
 
 class TestDeterminism:
@@ -170,6 +178,31 @@ class TestAccuracy:
         assert result.migrations == 0
         initial, _ = system.best_response(np.zeros(system.n_sites))
         assert np.array_equal(result.final_homes, initial)
+
+    def test_frozen_devices_answer_their_home_site(self, system,
+                                                   monkeypatch):
+        """Without migration a device still prices and reports against
+        its home: every report a site receives carries that site's round
+        and the home kernel's best response to the home γ̂."""
+        received = []
+        handle = SiteCoordinator._handle
+
+        def recording_handle(coordinator, envelope):
+            if isinstance(envelope.message, ThresholdReport):
+                received.append((coordinator.site, coordinator.round,
+                                 coordinator.stepper.estimate,
+                                 envelope.message))
+            handle(coordinator, envelope)
+
+        monkeypatch.setattr(SiteCoordinator, "_handle", recording_handle)
+        run_sharded_dtu(system, ShardedNetConfig(migrate=False,
+                                                 max_rounds=40))
+        assert received
+        for site, round_, estimate, report in received:
+            assert report.round == round_
+            assert report.threshold == float(
+                system.kernels[site].user_threshold(report.device,
+                                                    estimate))
 
     def test_delay_matrix_is_measured(self, system):
         result = run_sharded_dtu(system, ShardedNetConfig(max_rounds=20))

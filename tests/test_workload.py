@@ -20,6 +20,7 @@ import pytest
 
 from repro.net.churn import ChurnConfig, ChurnModel
 from repro.net.protocol import NetConfig, run_net_dtu, with_faults
+from repro.net.transport import FaultConfig
 from repro.population.sampler import sample_population
 from repro.workload import (
     CompositeSchedule,
@@ -309,6 +310,23 @@ class TestWorkloadNet:
         assert result.net.log == base.log
         assert result.net.estimated_utilization == \
             base.estimated_utilization
+
+    def test_unit_schedule_scalar_devices_match_run_net_dtu(self,
+                                                            population):
+        """A drifting schedule pinned at m(t) = 1.0 sends every device
+        down the scalar staircase, which must reproduce the kernel probes
+        of run_net_dtu bit for bit — under loss and jitter too."""
+        faults = FaultConfig(loss=0.1, jitter=0.2)
+        base = run_net_dtu(population, NetConfig(seed=5, faults=faults))
+        flat = WorkloadScenario("flat", DiurnalSchedule(amplitude=0.0))
+        assert not flat.schedule.constant
+        result = run_workload_net(population, flat,
+                                  WorkloadNetConfig(seed=5, faults=faults))
+        assert result.net.log == base.log
+        assert result.net.rounds == base.rounds
+        assert result.net.trace.estimated == base.trace.estimated
+        assert result.net.trace.measured == base.trace.measured
+        assert result.net.trace.heard == base.trace.heard
 
     def test_drifting_run_reports_bounded_lag(self, population):
         result = run_workload_net(
