@@ -4,9 +4,9 @@ The other executions of Algorithm 1 in this repository (``core.dtu``,
 ``simulation.online``, ``simulation.fastpath``) share one convenient
 fiction: the edge and the devices exchange state by function call.  This
 package drops that fiction.  An :class:`~repro.net.actors.EdgeCoordinator`
-and N :class:`~repro.net.actors.DeviceAgent` coroutines run the protocol
-over an explicit :class:`~repro.net.transport.Transport` carrying typed
-messages, and a :class:`~repro.net.transport.FaultyTransport` plus
+coroutine and N :class:`~repro.net.actors.DeviceAgent` delivery handlers
+run the protocol over an explicit
+:class:`~repro.net.transport.Transport` carrying typed messages, and a :class:`~repro.net.transport.FaultyTransport` plus
 :class:`~repro.net.churn.ChurnModel` subject it to seeded loss, latency,
 jitter, duplication, reordering, partitions, churn, and stragglers —
 while the :class:`~repro.net.clock.Runtime` keeps every run bit-identical
@@ -18,7 +18,8 @@ Entry points: :func:`~repro.net.protocol.run_net_dtu` (single edge; CLI:
 migration; CLI: ``python -m repro sharded``).
 """
 
-from repro.net.actors import EDGE_ADDRESS, DeviceAgent, EdgeCoordinator, NetTrace
+from repro.net.actors import (EDGE_ADDRESS, DeviceAgent, EdgeCoordinator,
+                              FleetResponses, NetTrace)
 from repro.net.churn import ChurnConfig, ChurnModel
 from repro.net.clock import Mailbox, Runtime, VirtualClock
 from repro.net.messages import (
@@ -71,6 +72,7 @@ __all__ = [
     "Envelope",
     "FaultConfig",
     "FaultyTransport",
+    "FleetResponses",
     "GammaBroadcast",
     "GammaGossip",
     "Heartbeat",

@@ -1,10 +1,11 @@
 """The two actor roles of the distributed DTU protocol.
 
 :class:`DeviceAgent` is Algorithm 1's device side, taken literally: it
-best-responds (Lemma 1, probed from the fleet's compiled kernel) to the
-**latest γ̂ broadcast it actually received** — which under faults may be
-stale, duplicated, or arbitrarily delayed — and reports the threshold
-plus the offered offload rate ``a_n·α_n(x_n)`` back to the edge.
+best-responds (Lemma 1) to the **latest γ̂ broadcast it actually
+received** — which under faults may be stale, duplicated, or arbitrarily
+delayed — and reports the threshold plus the offered offload rate
+``a_n·α_n(x_n)`` back to the edge, inside the delivery event: a device is
+a delivery handler (:meth:`DeviceAgent.deliver`), not a coroutine.
 
 :class:`EdgeCoordinator` is the edge side: it broadcasts γ̂, measures the
 utilisation from the :class:`~repro.net.messages.ThresholdReport`s
@@ -14,7 +15,8 @@ reports at all — triggers graceful degradation: γ̂ is held, the step size
 decays, and the next broadcast backs off exponentially, so a partitioned
 edge neither diverges nor spins.
 
-The per-device probe is bit-identical to the vectorised
+A stationary device reads its row of one batched kernel probe per
+estimate (:class:`FleetResponses`), bit-identical to the vectorised
 :class:`repro.core.meanfield.MeanFieldMap` path, which is what lets the
 fault-free synchronous run reproduce ``run_dtu`` trajectories exactly
 (pinned by ``tests/test_net.py``); a modulated device, whose rate no
@@ -34,8 +36,9 @@ from repro.core.dtu import DtuStepper
 from repro.core.edge_delay import EdgeDelayModel
 from repro.core.kernels import CompiledMeanField
 from repro.core.tro import offload_probability
-from repro.net.clock import Runtime
+from repro.net.clock import Mailbox, Runtime
 from repro.net.messages import (
+    Envelope,
     GammaBroadcast,
     Heartbeat,
     JoinLeave,
@@ -46,6 +49,38 @@ from repro.obs.context import resolve_recorder
 from repro.obs.recorder import Recorder
 
 EDGE_ADDRESS = "edge"
+
+
+class FleetResponses:
+    """A fleet's Lemma-1 responses on one compiled kernel, one batched
+    probe per broadcast estimate.
+
+    The first device to hear an estimate probes the whole fleet
+    (``user_thresholds`` + ``user_alphas``, bit-identical per row to
+    ``user_threshold``/``user_alpha``); every device reads its row.  The
+    last :attr:`KEEP` estimates are kept: jitter delivers a round's
+    broadcast after the next round's, not many rounds late, and an
+    evicted answer is only recomputed.
+    """
+
+    KEEP = 4
+
+    def __init__(self, kernel: CompiledMeanField):
+        self.kernel = kernel
+        self._fleet = np.arange(kernel.population.size)
+        self._answers: Dict[float, Tuple[List[float], List[float]]] = {}
+
+    def row(self, index: int, estimate: float) -> Tuple[float, float]:
+        """Device ``index``'s ``(threshold, α)`` at broadcast ``estimate``."""
+        answer = self._answers.get(estimate)
+        if answer is None:
+            levels = self.kernel.user_thresholds(self._fleet, estimate)
+            answer = (levels.astype(float).tolist(),
+                      self.kernel.user_alphas(self._fleet, levels).tolist())
+            if len(self._answers) == self.KEEP:     # drop the oldest
+                del self._answers[next(iter(self._answers))]
+            self._answers[estimate] = answer
+        return answer[0][index], answer[1][index]
 
 
 class DeviceAgent:
@@ -65,7 +100,7 @@ class DeviceAgent:
         transport: Transport,
         heartbeat_interval: float = 0.0,
         report_delay: float = 0.0,
-        kernel: Optional[CompiledMeanField] = None,
+        responses: Optional[FleetResponses] = None,
         modulation: Optional[Callable[[float], float]] = None,
         recorder: Optional[Recorder] = None,
     ):
@@ -86,22 +121,22 @@ class DeviceAgent:
         # to "edge"; sharded devices re-point this at their current home
         # site when they migrate.
         self.edge_address = EDGE_ADDRESS
-        # A fleet-shared compiled kernel (row ``index``); the broadcast
-        # handler then probes precompiled breakpoints/tables instead of
-        # re-running the scalar staircase search. Bit-identical responses.
-        self.kernel = kernel
+        # The fleet's shared answers on a compiled kernel (row ``index``);
+        # the device then reads its row of one batched probe instead of
+        # running the scalar staircase search. Bit-identical responses.
+        self.responses = responses
         # Optional arrival-rate modulation m(t) (repro.workload): a
         # non-stationary device best-responds with the *instantaneous*
         # rate a_n·m(t). Compiled kernels tabulate the stationary rates,
         # so a modulated device must take the scalar path.
         self.modulation = modulation
-        if modulation is not None and kernel is not None:
+        if modulation is not None and responses is not None:
             raise ValueError(
                 "modulation requires the scalar response path; pass "
-                "kernel=None (compiled staircase tables are stationary)"
+                "responses=None (compiled staircase tables are stationary)"
             )
         self._obs = resolve_recorder(recorder)
-        self.mailbox = transport.register(index)
+        transport.register(index, self.deliver)
         # Thresholds start at 0 (offload everything); the first received
         # broadcast replaces this with the Lemma-1 response, exactly like
         # run_dtu's initial best response to γ̂_0.
@@ -112,47 +147,59 @@ class DeviceAgent:
         self.broadcasts_handled = 0
         self.reports_sent = 0
 
-    async def run(self) -> None:
+    @property
+    def kernel(self) -> Optional[CompiledMeanField]:
+        """The compiled kernel the device answers from (None: scalar)."""
+        return self.responses.kernel if self.responses is not None else None
+
+    def start(self) -> None:
+        """Join the edge and start heartbeating (the device's first step)."""
         self.transport.send(self.address, self.edge_address,
                             JoinLeave(self.address, True))
         if self.heartbeat_interval > 0.0:
             self.runtime.clock.call_later(self.heartbeat_interval,
                                           self._heartbeat)
-        while True:
-            envelope = await self.mailbox.get()
-            if not self.alive:
-                continue   # powered off: traffic is discarded
-            message = envelope.message
-            # Best-respond to the latest broadcast actually received;
-            # duplicates and reordered older rounds are ignored.
-            if isinstance(message, GammaBroadcast) and \
-                    message.round > self.last_round:
-                self.last_round = message.round
-                self.broadcasts_handled += 1
-                span = None
-                if self._obs.enabled:
-                    span = self._obs.span_start(
-                        "device.best_response", parent=envelope.span,
-                        virtual_time=self.runtime.now,
-                        device=self.address, round=message.round,
-                    )
-                self._respond(message.estimate, message.round,
-                              parent=span)
-                if span is not None:
-                    self._obs.span_end(
-                        span, virtual_time=self.runtime.now,
-                        threshold=self.threshold,
-                    )
+
+    def deliver(self, envelope: Envelope) -> None:
+        """The delivery handler: it runs inside the delivery event."""
+        if not self.alive or not self._fresh(envelope.message):
+            return   # powered off, or not a broadcast to answer
+        message = envelope.message
+        self.broadcasts_handled += 1
+        span = None
+        if self._obs.enabled:
+            span = self._obs.span_start(
+                "device.best_response", parent=envelope.span,
+                virtual_time=self.runtime.now,
+                device=self.address, round=message.round,
+            )
+        self._answer(message, parent=span)
+        if span is not None:
+            self._obs.span_end(span, virtual_time=self.runtime.now,
+                               threshold=self.threshold)
+
+    def _fresh(self, message) -> bool:
+        """Whether ``message`` is a broadcast newer than every one answered
+        (duplicates and reordered older rounds are not); notes its round."""
+        if not isinstance(message, GammaBroadcast) \
+                or message.round <= self.last_round:
+            return False
+        self.last_round = message.round
+        return True
+
+    def _answer(self, broadcast: GammaBroadcast,
+                parent: Optional[int]) -> None:
+        """Answer a fresh broadcast; sharded devices first pick a site."""
+        self._respond(broadcast.estimate, broadcast.round, parent=parent)
 
     def _respond(self, estimate: float, broadcast_round: int,
                  parent: Optional[int] = None) -> None:
         """Lemma 1 best response to ``estimate`` + a report stamped with
         ``broadcast_round`` (Algorithm 1, device side)."""
-        if self.kernel is not None:
-            level = self.kernel.user_threshold(self.address, estimate)
-            self.threshold = float(level)
-            self.offload_rate = self.arrival_rate * \
-                self.kernel.user_alpha(self.address, level)
+        if self.responses is not None:
+            self.threshold, alpha = self.responses.row(self.address,
+                                                       estimate)
+            self.offload_rate = self.arrival_rate * alpha
         else:
             self._scalar_response(estimate)
         self.reports_sent += 1
@@ -258,7 +305,8 @@ class EdgeCoordinator:
         self.capacity = float(capacity)
         self.config = config
         self.address = address
-        self.mailbox = transport.register(address)
+        self.mailbox = Mailbox()
+        transport.register(address, self.mailbox.put)
         self.stepper = DtuStepper(
             initial_step=config.initial_step,
             tolerance=config.tolerance,

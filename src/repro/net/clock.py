@@ -1,29 +1,29 @@
 """A deterministic virtual-time driver for asyncio actors.
 
 The network runtime must satisfy two requirements that pull in opposite
-directions: actors are ordinary ``async def`` coroutines (so the protocol
-code reads like the deployment code it models), yet a run must be
+directions: coordinators are ordinary ``async def`` coroutines (so the
+protocol code reads like the deployment code it models), yet a run must be
 **bit-identical** for a given seed — message logs, γ̂ trajectories, fault
 draws, everything — regardless of host load or Python version quirks.
 
 The resolution is that no actor ever touches the wall clock or an
 unordered asyncio primitive:
 
-* every wait goes through the runtime — :meth:`Runtime.sleep` or
-  :meth:`Mailbox.get` — and every wake-up is an entry on **one** event
-  heap ordered by ``(virtual time, insertion sequence)``;
-* the driver pops one event, advances the virtual clock, fires the
-  callback, then yields exactly once to the asyncio loop.  The woken task
-  runs its synchronous segment to its next ``await`` (asyncio runs a task
-  until it yields), during which it may only *push* future events — tasks
-  never resolve each other's futures directly.  So when control returns to
-  the driver, the system is quiescent and the next pop is well-defined;
-* ``Mailbox.get`` returns buffered items without yielding to the loop, so
-  a drain loop stays inside one segment.
+* every wait goes through :meth:`Runtime.sleep`, and every wake-up and
+  message delivery is an entry on **one** event heap ordered by
+  ``(virtual time, insertion sequence)``;
+* the driver pops one event, advances the virtual clock and fires the
+  callback.  A delivery runs the destination's handler inside the event
+  (a device answers there; a coordinator's :class:`Mailbox` buffers).
+  Only after a :meth:`Runtime.sleep` timer does the driver yield, exactly
+  once: the woken task runs its synchronous segment to its next
+  ``await``, during which it may only *push* future events.  So when
+  control returns to the driver, the system is quiescent and the next pop
+  is well-defined.
 
 The result is a discrete-event simulation (cf.
-:class:`repro.simulation.engine.DiscreteEventSimulator`) whose "processes"
-are real asyncio coroutines, with no wall time anywhere.
+:class:`repro.simulation.engine.DiscreteEventSimulator`) whose
+coordinators are real asyncio coroutines, with no wall time anywhere.
 """
 
 from __future__ import annotations
@@ -64,33 +64,14 @@ class VirtualClock:
 
 
 class Mailbox:
-    """A deterministic single-reader inbox.
-
-    ``put`` is synchronous (called from clock callbacks — message delivery
-    events); ``get`` returns a buffered item *without yielding to the
-    event loop* when one is available, so an actor draining its inbox
-    stays within one synchronous segment.
-    """
+    """A coordinator's inbox: ``put`` is its delivery handler, and the
+    coordinator empties it with ``drain`` once a round, after its sleep."""
 
     def __init__(self):
         self._items: deque = deque()
-        self._waiter: Optional[asyncio.Future] = None
 
     def put(self, item: Any) -> None:
         self._items.append(item)
-        if self._waiter is not None and not self._waiter.done():
-            self._waiter.set_result(None)
-
-    async def get(self) -> Any:
-        if not self._items:
-            if self._waiter is not None:
-                raise RuntimeError("Mailbox supports a single reader")
-            self._waiter = asyncio.get_running_loop().create_future()
-            try:
-                await self._waiter
-            finally:
-                self._waiter = None
-        return self._items.popleft()
 
     def drain(self) -> List[Any]:
         """Pop and return everything currently buffered (no await)."""
@@ -119,6 +100,7 @@ class Runtime:
         self.clock = VirtualClock()
         self.stopping = False
         self.events_fired = 0
+        self._woken = False
 
     @property
     def now(self) -> float:
@@ -127,10 +109,13 @@ class Runtime:
     async def sleep(self, delay: float) -> None:
         """Suspend the calling actor for ``delay`` virtual time units."""
         future = asyncio.get_running_loop().create_future()
-        self.clock.call_later(
-            delay, lambda: future.done() or future.set_result(None)
-        )
+        self.clock.call_later(delay, lambda: self._wake(future))
         await future
+
+    def _wake(self, future: asyncio.Future) -> None:
+        if not future.done():
+            future.set_result(None)
+        self._woken = True
 
     def stop(self) -> None:
         """End the run: the driver exits before the next event fires."""
@@ -143,7 +128,8 @@ class Runtime:
     ) -> None:
         """Drive ``actors`` until :meth:`stop`, heap exhaustion or ``until``.
 
-        Actor exceptions propagate (the run is torn down first); reaching
+        Exceptions raised by an actor or by an event callback (a delivery
+        handler included) propagate, after the run is torn down; reaching
         ``until`` or an empty heap is a normal return, so a run can never
         deadlock — a fully-silent network simply stops making events.
         """
@@ -153,14 +139,14 @@ class Runtime:
         tasks = [asyncio.ensure_future(coroutine) for coroutine in actors]
         try:
             # Opening segments: every actor runs to its first await,
-            # registering its initial timers/receives.
+            # sending its first messages and setting its first timers.
             await asyncio.sleep(0)
             heap = self.clock._heap
             while not self.stopping:
                 if not heap:
                     # Quiesce before concluding the run is over: a task
-                    # woken by the last event may still be ready to run
-                    # and can schedule new events or call stop().
+                    # that is still ready to run can schedule new events
+                    # or call stop().
                     await asyncio.sleep(0)
                     if not heap:
                         break
@@ -171,8 +157,10 @@ class Runtime:
                 self.clock.now = when
                 action()
                 self.events_fired += 1
-                # One yield: the woken task(s) run to their next await.
-                await asyncio.sleep(0)
+                if self._woken:
+                    # One yield: the woken task runs to its next await.
+                    self._woken = False
+                    await asyncio.sleep(0)
         finally:
             self.stopping = True
             for task in tasks:

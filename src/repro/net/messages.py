@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -162,15 +162,17 @@ Message = Union[GammaBroadcast, ThresholdReport, ReportBatch, Heartbeat,
                 ShardBroadcast]
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """A message in flight, stamped by the transport.
+
+    A named tuple, not a dataclass: one is built per message, and a
+    tuple is the cheapest immutable record to build and collect.
 
     ``span`` is the id of the causal span the transport opened for this
     delivery (see :mod:`repro.obs.spans`); ``None`` when span tracing is
-    off.  It rides in the envelope because the receiving actor runs in a
-    different synchronous segment of the event loop — an ambient
-    "current span" would not survive the hop, the envelope does.
+    off.  It rides in the envelope because the receiver runs in a later
+    event than the sender — an ambient "current span" would not survive
+    the hop, the envelope does.
     """
 
     seq: int

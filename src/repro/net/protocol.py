@@ -26,12 +26,15 @@ random streams stay independent however many draws each consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from functools import partial
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.edge_delay import PAPER_DELAY_MODEL, EdgeDelayModel
-from repro.net.actors import EDGE_ADDRESS, DeviceAgent, EdgeCoordinator, NetTrace
+from repro.net.actors import (
+    DeviceAgent, EdgeCoordinator, FleetResponses, NetTrace,
+)
 from repro.core.kernels import (
     CompiledMeanField,
     check_kernel,
@@ -99,18 +102,20 @@ class NetConfig:
         if self.backoff < 1.0:
             raise ValueError(f"backoff must be >= 1, got {self.backoff}")
         check_positive("max_backoff", self.max_backoff)
+        if self.max_backoff < self.report_timeout:   # would shorten waits
+            raise ValueError(f"max_backoff must be >= report_timeout, "
+                             f"got {self.max_backoff}")
 
     def resolved_horizon(self) -> float:
         """The run's hard virtual-time limit.
 
-        Every coordinator round waits at most ``max(report_timeout,
-        max_backoff)``, so the budgeted rounds fit under this horizon with
-        one round of slack for in-flight deliveries.
+        Every coordinator round waits at most ``max_backoff``, so the
+        budgeted rounds fit under this horizon with one round of slack
+        for in-flight deliveries.
         """
         if self.horizon is not None:
             return self.horizon
-        per_round = max(self.report_timeout, self.max_backoff)
-        return per_round * (self.max_rounds + 1)
+        return self.max_backoff * (self.max_rounds + 1)
 
 
 @dataclass(frozen=True)
@@ -170,12 +175,15 @@ def build_devices(
     ``kernel`` (a :class:`repro.core.kernels.CompiledMeanField` built for
     ``population`` + ``delay_model``, checked by
     :func:`~repro.core.kernels.check_kernel`) is shared by the whole
-    fleet: each agent answers broadcasts with an ``O(log M_n)`` probe
-    into the precompiled staircase. Without one the agents run the scalar
+    fleet: each broadcast estimate is answered by one batched probe into
+    the precompiled staircase (:class:`~repro.net.actors.FleetResponses`),
+    and each agent reads its row. Without one the agents run the scalar
     staircase search — the path for modulated fleets.
     """
+    responses = None
     if kernel is not None:
         check_kernel(kernel, population, delay_model)
+        responses = FleetResponses(kernel)
     devices = []
     for index in range(population.size):
         report_delay = churn_model.report_delay(index) if churn_model else 0.0
@@ -192,10 +200,46 @@ def build_devices(
             transport=transport,
             heartbeat_interval=heartbeat_interval,
             report_delay=report_delay,
-            kernel=kernel,
+            responses=responses,
             recorder=recorder,
         ))
     return devices
+
+
+def run_fleet(
+    runtime: Runtime,
+    coordinators: Sequence[EdgeCoordinator],
+    devices: Sequence[DeviceAgent],
+    churn_model: Optional[ChurnModel],
+    horizon: float,
+    recorder: Optional[Recorder] = None,
+) -> None:
+    """Drive ``coordinators`` and their device fleet to the end of a run.
+
+    The coordinators' first broadcasts go out, then the devices start in
+    index order, with no clock event in between. Spans of messages still
+    in flight at the horizon are closed "cancelled", so span logs always
+    balance (pinned by ``tests/test_net_spans.py``).
+    """
+    if churn_model is not None:
+        for device, timeline in zip(devices, churn_model.timelines):
+            for when, alive_after in timeline:
+                runtime.clock.call_at(when, partial(device.set_alive,
+                                                    alive_after))
+
+    async def start_devices() -> None:
+        for device in devices:
+            device.start()
+
+    runtime.run([coordinator.run() for coordinator in coordinators]
+                + [start_devices()], until=horizon)
+
+    obs = resolve_recorder(recorder)
+    spans = getattr(obs, "spans", None)
+    if spans is not None and spans.open_count:
+        cancelled = spans.finish(virtual_time=runtime.now)
+        obs.count("spans.closed", cancelled)
+        obs.count("spans.faulted", cancelled)
 
 
 def run_net_dtu(
@@ -220,7 +264,8 @@ def run_net_dtu(
         recorder.
 
     The fleet shares one :class:`repro.core.kernels.CompiledMeanField`, so
-    every broadcast is answered by N ``O(log M_n)`` probes.
+    every broadcast estimate is answered by one batched probe over the
+    fleet.
     """
     config = config or NetConfig()
     delay_model = delay_model if delay_model is not None else PAPER_DELAY_MODEL
@@ -252,14 +297,6 @@ def run_net_dtu(
         config=config,
         recorder=recorder,
     )
-    if churn_model is not None:
-        for device, timeline in zip(devices, churn_model.timelines):
-            for when, alive_after in timeline:
-                runtime.clock.call_at(
-                    when,
-                    lambda d=device, a=alive_after: d.set_alive(a),
-                )
-
     if obs.enabled:
         obs.event(
             "net.start", n_devices=population.size,
@@ -268,19 +305,8 @@ def run_net_dtu(
             churning=churn_model is not None,
         )
 
-    runtime.run(
-        [coordinator.run()] + [device.run() for device in devices],
-        until=horizon,
-    )
-
-    # Messages still in flight at the horizon left their spans open —
-    # close them all with a "cancelled" fault status so span logs always
-    # balance (pinned by tests/test_net_spans.py).
-    spans = getattr(obs, "spans", None)
-    if spans is not None and spans.open_count:
-        cancelled = spans.finish(virtual_time=runtime.now)
-        obs.count("spans.closed", cancelled)
-        obs.count("spans.faulted", cancelled)
+    run_fleet(runtime, [coordinator], devices, churn_model, horizon,
+              recorder=recorder)
 
     measured = (coordinator.final_measured
                 if coordinator.final_measured is not None else float("nan"))

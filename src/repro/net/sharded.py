@@ -47,9 +47,13 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.edge_delay import EdgeDelayModel
-from repro.core.kernels import CompiledMeanField
 from repro.core.multiedge import MultiEdgeSystem
-from repro.net.actors import DeviceAgent, EdgeCoordinator, NetTrace
+from repro.net.actors import (
+    DeviceAgent,
+    EdgeCoordinator,
+    FleetResponses,
+    NetTrace,
+)
 from repro.net.churn import ChurnModel
 from repro.net.clock import Runtime
 from repro.net.messages import (
@@ -60,7 +64,7 @@ from repro.net.messages import (
     MessageLog,
     ShardBroadcast,
 )
-from repro.net.protocol import NetConfig, build_transport
+from repro.net.protocol import NetConfig, build_transport, run_fleet
 from repro.net.transport import Transport
 from repro.obs.context import resolve_recorder
 from repro.obs.recorder import Recorder
@@ -103,56 +107,36 @@ class ShardedNetConfig(NetConfig):
 class ShardedDeviceAgent(DeviceAgent):
     """A device that prices all sites and migrates to the argmin.
 
-    Per-site state replaces the scalar broadcast handler: the device
-    holds its latency row ``τ̂_i·``, every site's congestion curve, and
-    the shared-table site kernels (none when modulated); each
-    :class:`ShardBroadcast` from its *current home* triggers a site
-    choice, a possible migration, and :class:`DeviceAgent`'s Lemma-1
-    response to the home site's γ̂, reported to the home site with its
-    round. Migrating re-points the home profile — address, latency,
-    congestion curve and kernel — at the new site.
+    The device holds its latency row ``τ̂_i·``, every site's congestion
+    curve, and the fleet's answers on each site kernel (none when
+    modulated); each :class:`ShardBroadcast` from its *current home*
+    triggers a site choice, a possible migration, and
+    :class:`DeviceAgent`'s Lemma-1 response to the home site's γ̂,
+    reported to the home site with its round. Migrating re-points the
+    home profile — address, latency, congestion curve and kernel — at
+    the new site.
     """
 
     def __init__(
         self,
-        index: int,
-        arrival_rate: float,
-        service_rate: float,
-        energy_local: float,
-        energy_offload: float,
-        weight: float,
         site_latencies: np.ndarray,
         site_delay_models: Sequence[EdgeDelayModel],
         home: int,
-        runtime: Runtime,
-        transport: Transport,
-        heartbeat_interval: float = 0.0,
-        report_delay: float = 0.0,
-        site_kernels: Optional[Sequence[CompiledMeanField]] = None,
+        site_responses: Optional[Sequence[FleetResponses]] = None,
         migrate: bool = True,
-        modulation: Optional[Callable[[float], float]] = None,
-        recorder: Optional[Recorder] = None,
+        **device,
     ):
+        # ``device``: DeviceAgent's arguments but the home profile, which
+        # the site columns supply.
         super().__init__(
-            index=index,
-            arrival_rate=arrival_rate,
-            service_rate=service_rate,
             offload_latency=float(site_latencies[home]),
-            energy_local=energy_local,
-            energy_offload=energy_offload,
-            weight=weight,
             delay_model=site_delay_models[home],
-            runtime=runtime,
-            transport=transport,
-            heartbeat_interval=heartbeat_interval,
-            report_delay=report_delay,
-            kernel=site_kernels[home] if site_kernels else None,
-            modulation=modulation,
-            recorder=recorder,
+            responses=site_responses[home] if site_responses else None,
+            **device,
         )
         self.site_latencies = np.asarray(site_latencies, dtype=float)
         self.site_delay_models = list(site_delay_models)
-        self.site_kernels = list(site_kernels) if site_kernels else None
+        self.site_responses = site_responses
         self.home = home
         self.edge_address = site_address(home)
         self.migrate = migrate
@@ -162,43 +146,19 @@ class ShardedDeviceAgent(DeviceAgent):
         #: from a long-lived site to a young one.
         self.last_rounds = {}
 
-    async def run(self) -> None:
-        self.transport.send(self.address, self.edge_address,
-                            JoinLeave(self.address, True))
-        if self.heartbeat_interval > 0.0:
-            self.runtime.clock.call_later(self.heartbeat_interval,
-                                          self._heartbeat)
-        while True:
-            envelope = await self.mailbox.get()
-            if not self.alive:
-                continue   # powered off: traffic is discarded
-            message = envelope.message
-            # Only the current home's broadcasts are answered: a stale
-            # broadcast from a site just migrated away from must not
-            # produce a report that double-counts the device.
-            if not isinstance(message, ShardBroadcast) \
-                    or message.site != self.home \
-                    or message.round <= self.last_rounds.get(message.site, -1):
-                continue
-            self.last_rounds[message.site] = message.round
-            self.broadcasts_handled += 1
-            span = None
-            if self._obs.enabled:
-                span = self._obs.span_start(
-                    "device.best_response", parent=envelope.span,
-                    virtual_time=self.runtime.now,
-                    device=self.address, round=message.round,
-                    site=message.site,
-                )
-            self._respond_sharded(message, parent=span)
-            if span is not None:
-                self._obs.span_end(
-                    span, virtual_time=self.runtime.now,
-                    threshold=self.threshold, site=self.home,
-                )
+    def _fresh(self, message) -> bool:
+        # Only the current home's broadcasts are answered: a stale
+        # broadcast from a site just migrated away from must not produce
+        # a report that double-counts the device.
+        if not isinstance(message, ShardBroadcast) \
+                or message.site != self.home \
+                or message.round <= self.last_rounds.get(message.site, -1):
+            return False
+        self.last_rounds[message.site] = message.round
+        return True
 
-    def _respond_sharded(self, broadcast: ShardBroadcast,
-                         parent: Optional[int] = None) -> None:
+    def _answer(self, broadcast: ShardBroadcast,
+                parent: Optional[int]) -> None:
         """Site choice → (maybe) migration → Lemma-1 response at home."""
         estimates = broadcast.estimates
         if self.migrate:
@@ -225,8 +185,8 @@ class ShardedDeviceAgent(DeviceAgent):
         self.edge_address = site_address(target)
         self.offload_latency = float(self.site_latencies[target])
         self.delay_model = self.site_delay_models[target]
-        if self.site_kernels is not None:
-            self.kernel = self.site_kernels[target]
+        if self.site_responses is not None:
+            self.responses = self.site_responses[target]
         self.migrations += 1
         self.transport.send(self.address, self.edge_address,
                             JoinLeave(self.address, True), parent=parent)
@@ -503,8 +463,9 @@ def run_sharded_dtu(
         Optional arrival-rate schedule ``m(t)`` (see
         :mod:`repro.workload.schedule`): every device best-responds with
         its instantaneous rate ``a_n·m(t)`` by the scalar staircase — the
-        shared site tables are stationary. Unmodulated devices probe the
-        system's site kernels (``O(log M_n)``).
+        shared site tables are stationary. Unmodulated devices read their
+        row of one batched probe of their home site's kernel per
+        estimate.
     share_memory:
         Back the compiled site kernels with one shared-memory table image
         (``system.compile(share_memory=True)``) so a multi-process host
@@ -527,9 +488,10 @@ def run_sharded_dtu(
         churn_model = ChurnModel(config.churn, population.size, horizon,
                                  seed=churn_seed)
 
-    site_kernels = None
+    site_responses = None
     if modulation is None:
-        site_kernels = system.compile(share_memory=share_memory).kernels
+        site_responses = [FleetResponses(kernel) for kernel in
+                          system.compile(share_memory=share_memory).kernels]
 
     initial = np.full(n_sites, config.initial_estimate)
     homes, _ = system.best_response(initial)
@@ -552,7 +514,7 @@ def run_sharded_dtu(
             transport=transport,
             heartbeat_interval=config.heartbeat_interval,
             report_delay=report_delay,
-            site_kernels=site_kernels,
+            site_responses=site_responses,
             migrate=config.migrate,
             modulation=modulation,
             recorder=recorder,
@@ -575,14 +537,6 @@ def run_sharded_dtu(
         for j, site in enumerate(system.sites)
     ]
 
-    if churn_model is not None:
-        for device, timeline in zip(devices, churn_model.timelines):
-            for when, alive_after in timeline:
-                runtime.clock.call_at(
-                    when,
-                    lambda d=device, a=alive_after: d.set_alive(a),
-                )
-
     if obs.enabled:
         obs.event(
             "sharded.start", n_devices=population.size, n_sites=n_sites,
@@ -592,20 +546,8 @@ def run_sharded_dtu(
             migrate=config.migrate,
         )
 
-    runtime.run(
-        [coordinator.run() for coordinator in coordinators]
-        + [device.run() for device in devices],
-        until=horizon,
-    )
-
-    # Messages still in flight at the horizon left their spans open —
-    # close them with a "cancelled" status so span logs always balance
-    # (same contract as run_net_dtu).
-    spans = getattr(obs, "spans", None)
-    if spans is not None and spans.open_count:
-        cancelled = spans.finish(virtual_time=runtime.now)
-        obs.count("spans.closed", cancelled)
-        obs.count("spans.faulted", cancelled)
+    run_fleet(runtime, coordinators, devices, churn_model, horizon,
+              recorder=recorder)
 
     now = runtime.now
     estimated = np.array([c.stepper.estimate for c in coordinators])

@@ -2,11 +2,13 @@
 
 :class:`LocalTransport` is the ground truth: every ``send`` schedules a
 delivery event on the runtime's virtual clock (plus any latency the caller
-or a wrapper adds) into the destination :class:`~repro.net.clock.Mailbox`,
-and records the fate in a :class:`~repro.net.messages.MessageLog`.
+adds) and records the fate in a :class:`~repro.net.messages.MessageLog`.
+The delivery event calls the handler registered for the destination
+address — a device's best response, or a coordinator's
+:meth:`~repro.net.clock.Mailbox.put` — inside the event itself.
 
-:class:`FaultyTransport` wraps any transport and injects, from one seeded
-generator, the failure modes a real radio/backhaul exhibits:
+:class:`FaultyTransport` wraps a :class:`LocalTransport` and injects, from
+one seeded generator, the failure modes a real radio/backhaul exhibits:
 
 * **loss** — each message is independently dropped with probability
   ``loss``;
@@ -26,10 +28,11 @@ yields an identical message log.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Tuple
+from typing import Callable, Optional, Protocol, Tuple
 
-from repro.net.clock import Mailbox, Runtime
+from repro.net.clock import Runtime
 from repro.net.messages import Address, Envelope, Message, MessageLog
 from repro.obs.context import resolve_recorder
 from repro.obs.recorder import Recorder
@@ -37,10 +40,17 @@ from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_non_negative, check_probability
 
 
+#: What a transport calls with each envelope delivered to an address.
+Handler = Callable[[Envelope], None]
+
+
 class Transport(Protocol):
     """Anything that can carry a message toward an address."""
 
     log: MessageLog
+
+    def register(self, address: Address, handler: Handler) -> None:
+        """Deliver every message addressed to ``address`` to ``handler``."""
 
     def send(self, src: Address, dst: Address, message: Message,
              delay: float = 0.0, parent: Optional[int] = None) -> None:
@@ -60,19 +70,22 @@ class LocalTransport:
                  recorder: Optional[Recorder] = None):
         self.runtime = runtime
         self.log = MessageLog(record_entries=record_log)
-        self._mailboxes: dict = {}
+        self._handlers: dict = {}
         self._seq = itertools.count()
         self._obs = resolve_recorder(recorder)
 
-    def register(self, address: Address) -> Mailbox:
-        """Create (or return) the inbox for ``address``."""
-        if address not in self._mailboxes:
-            self._mailboxes[address] = Mailbox()
-        return self._mailboxes[address]
+    def register(self, address: Address, handler: Handler) -> None:
+        self._handlers[address] = handler
 
     def send(self, src: Address, dst: Address, message: Message,
              delay: float = 0.0, parent: Optional[int] = None) -> None:
         now = self.runtime.clock.now
+        self._post(src, dst, message, now, now + delay, parent)
+
+    def _post(self, src: Address, dst: Address, message: Message,
+              now: float, delivered_at: float,
+              parent: Optional[int]) -> None:
+        """Stamp, log and schedule one copy of a message."""
         seq = next(self._seq)
         span = None
         if self._obs.enabled:
@@ -80,21 +93,16 @@ class LocalTransport:
                 f"msg.{type(message).__name__}", parent=parent,
                 virtual_time=now, src=str(src), dst=str(dst), seq=seq,
             )
-        envelope = Envelope(
-            seq=seq, src=src, dst=dst,
-            sent_at=now, delivered_at=now + delay, message=message,
-            span=span,
-        )
+        envelope = Envelope(seq, src, dst, now, delivered_at, message, span)
         self.log.record("sent", envelope)
         if self._obs.enabled:
             self._obs.count("net.messages_sent")
-        self.runtime.clock.call_at(
-            envelope.delivered_at, lambda: self._deliver(envelope)
-        )
+        self.runtime.clock.call_at(delivered_at,
+                                   partial(self._deliver, envelope))
 
     def _deliver(self, envelope: Envelope) -> None:
-        mailbox = self._mailboxes.get(envelope.dst)
-        if mailbox is None:
+        handler = self._handlers.get(envelope.dst)
+        if handler is None:
             self.log.record("unroutable", envelope, delivered=False)
             if envelope.span is not None:
                 self._obs.span_end(envelope.span, status="unroutable",
@@ -107,7 +115,7 @@ class LocalTransport:
         if envelope.span is not None:
             self._obs.span_end(envelope.span, status="delivered",
                                virtual_time=envelope.delivered_at)
-        mailbox.put(envelope)
+        handler(envelope)
 
 
 @dataclass(frozen=True)
@@ -150,25 +158,21 @@ class FaultConfig:
 
 
 class FaultyTransport:
-    """A transport wrapper injecting seeded loss/delay/duplication/partitions."""
+    """A :class:`LocalTransport` wrapper injecting seeded
+    loss/delay/duplication/partitions: ``send`` draws a message's fate
+    and posts the surviving copies itself."""
 
-    def __init__(self, inner: Transport, faults: FaultConfig,
+    def __init__(self, inner: LocalTransport, faults: FaultConfig,
                  seed: SeedLike = 0, recorder: Optional[Recorder] = None):
         self.inner = inner
+        self.runtime = inner.runtime
+        self.log = inner.log
         self.faults = faults
         self.rng = as_generator(seed)
         self._obs = resolve_recorder(recorder)
 
-    @property
-    def log(self) -> MessageLog:
-        return self.inner.log
-
-    @property
-    def runtime(self) -> Runtime:
-        return self.inner.runtime
-
-    def register(self, address: Address) -> Mailbox:
-        return self.inner.register(address)
+    def register(self, address: Address, handler: Handler) -> None:
+        self.inner.register(address, handler)
 
     def send(self, src: Address, dst: Address, message: Message,
              delay: float = 0.0, parent: Optional[int] = None) -> None:
@@ -181,14 +185,14 @@ class FaultyTransport:
         if faults.loss > 0.0 and self.rng.random() < faults.loss:
             self._drop("dropped", src, dst, message, now, parent)
             return
-        self.inner.send(src, dst, message, delay + self._delay(),
-                        parent=parent)
+        post = self.inner._post
+        post(src, dst, message, now, now + (delay + self._delay()), parent)
         if faults.duplicate > 0.0 and self.rng.random() < faults.duplicate:
             self.log.counts["duplicated"] += 1
             if self._obs.enabled:
                 self._obs.count("net.messages_duplicated")
-            self.inner.send(src, dst, message, delay + self._delay(),
-                            parent=parent)
+            post(src, dst, message, now, now + (delay + self._delay()),
+                 parent)
 
     def _delay(self) -> float:
         jitter = self.faults.jitter

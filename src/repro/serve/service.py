@@ -115,6 +115,9 @@ class ServeConfig:
             raise ValueError(f"backoff must be >= 1, got {self.backoff}")
         if self.max_backoff is not None:
             check_positive("max_backoff", self.max_backoff)
+        if self.resolved_max_backoff() < self.round_period:   # see NetConfig
+            raise ValueError(f"max_backoff must be >= round_period, "
+                             f"got {self.max_backoff}")
         check_unit_interval("silence_decay", self.silence_decay)
         if self.liveness_timeout is not None:
             check_positive("liveness_timeout", self.liveness_timeout)

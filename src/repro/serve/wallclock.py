@@ -1,9 +1,9 @@
 """Wall-clock adapters for the virtual-time actor runtime.
 
-The :mod:`repro.net` actors only ever touch their runtime through four
-points — ``runtime.now``, ``await runtime.sleep(d)``,
+The :mod:`repro.net` coordinator only ever touches its runtime through
+four points — ``runtime.now``, ``await runtime.sleep(d)``,
 ``runtime.clock.call_later`` / ``call_at`` and ``runtime.stop()`` — plus
-a :class:`~repro.net.clock.Mailbox` fed by a transport.  That narrow
+a :class:`~repro.net.clock.Mailbox` that a transport fills.  That narrow
 surface is what makes the virtual-time driver deterministic, and it is
 also what makes a wall-clock bridge small: :class:`WallClockDriver`
 implements the same surface over a private asyncio loop on a daemon
@@ -23,10 +23,10 @@ performs.
 
 :class:`WallClockTransport` is the matching
 :class:`~repro.net.transport.Transport`: real
-:class:`~repro.net.messages.Envelope` records into real mailboxes with a
-real :class:`~repro.net.messages.MessageLog`, except that zero-delay
-sends deliver synchronously (no event churn at serving rates) and
-``send`` must already be on the loop thread.
+:class:`~repro.net.messages.Envelope` records delivered to the registered
+handlers, with a real :class:`~repro.net.messages.MessageLog`, except that
+zero-delay sends deliver synchronously (no event churn at serving rates)
+and ``send`` must already be on the loop thread.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import threading
 import time
 from typing import Callable, Coroutine, List, Optional, Sequence
 
-from repro.net.clock import Mailbox
 from repro.net.messages import Address, Envelope, Message, MessageLog
+from repro.net.transport import Handler
 from repro.obs.context import resolve_recorder
 from repro.obs.recorder import Recorder
 
@@ -197,26 +197,24 @@ class WallClockTransport:
     The :class:`~repro.net.transport.Transport` protocol with the same
     envelope stamping and fate accounting as
     :class:`~repro.net.transport.LocalTransport`, minus the event-heap
-    hop: a zero-delay ``send`` delivers synchronously into the
-    destination mailbox, so a message costs one envelope build, not a
+    hop: a zero-delay ``send`` delivers synchronously to the
+    destination's handler, so a message costs one envelope build, not a
     scheduled callback.  ``send`` must run on the driver's loop
     thread (callers marshal via :meth:`WallClockDriver.submit`), which
-    keeps mailboxes and the log single-threaded.
+    keeps handlers and the log single-threaded.
     """
 
     def __init__(self, driver: WallClockDriver, record_log: bool = False,
                  recorder: Optional[Recorder] = None):
         self.driver = driver
         self.log = MessageLog(record_entries=record_log)
-        self._mailboxes: dict = {}
+        self._handlers: dict = {}
         self._seq = itertools.count()
         self._obs = resolve_recorder(recorder)
 
-    def register(self, address: Address) -> Mailbox:
-        """Create (or return) the inbox for ``address``."""
-        if address not in self._mailboxes:
-            self._mailboxes[address] = Mailbox()
-        return self._mailboxes[address]
+    def register(self, address: Address, handler: Handler) -> None:
+        """Deliver every message addressed to ``address`` to ``handler``."""
+        self._handlers[address] = handler
 
     def send(self, src: Address, dst: Address, message: Message,
              delay: float = 0.0, parent: Optional[int] = None) -> None:
@@ -234,11 +232,11 @@ class WallClockTransport:
             self._deliver(envelope)
 
     def _deliver(self, envelope: Envelope) -> None:
-        mailbox = self._mailboxes.get(envelope.dst)
-        if mailbox is None:
+        handler = self._handlers.get(envelope.dst)
+        if handler is None:
             self.log.record("unroutable", envelope, delivered=False)
             return
         self.log.record("delivered", envelope)
         if self._obs.enabled:
             self._obs.count("net.messages_delivered")
-        mailbox.put(envelope)
+        handler(envelope)

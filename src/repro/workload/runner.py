@@ -39,6 +39,7 @@ from repro.net.protocol import (
     NetDtuResult,
     build_devices,
     build_transport,
+    run_fleet,
 )
 from repro.obs.context import resolve_recorder
 from repro.obs.recorder import Recorder
@@ -105,9 +106,9 @@ class WorkloadNetConfig(NetConfig):
 class LearningDeviceAgent(DeviceAgent):
     """A device that *learns* whether to offload instead of computing it.
 
-    Inherits the whole protocol plumbing (mailbox, heartbeats, churn
-    hooks) from :class:`DeviceAgent`; only the broadcast response is
-    replaced. Each round the agent prices both arms at the broadcast γ̂
+    Inherits the whole protocol plumbing (delivery handler, heartbeats,
+    churn hooks) from :class:`DeviceAgent`; only the broadcast response
+    is replaced. Each round the agent prices both arms at the broadcast γ̂
     (:func:`repro.workload.agents.arm_costs`), asks its policy for an
     offload mix ``p``, and reports the offered rate ``a_n·m(t)·p``.
 
@@ -260,14 +261,6 @@ def run_workload_net(
         config=config,
         recorder=recorder,
     )
-    if churn_model is not None:
-        for device, timeline in zip(devices, churn_model.timelines):
-            for when, alive_after in timeline:
-                runtime.clock.call_at(
-                    when,
-                    lambda d=device, a=alive_after: d.set_alive(a),
-                )
-
     if obs.enabled:
         obs.event(
             "workload.start", n_devices=population.size,
@@ -278,16 +271,8 @@ def run_workload_net(
             churning=churn_model is not None,
         )
 
-    runtime.run(
-        [coordinator.run()] + [device.run() for device in devices],
-        until=horizon,
-    )
-
-    spans = getattr(obs, "spans", None)
-    if spans is not None and spans.open_count:
-        cancelled = spans.finish(virtual_time=runtime.now)
-        obs.count("spans.closed", cancelled)
-        obs.count("spans.faulted", cancelled)
+    run_fleet(runtime, [coordinator], devices, churn_model, horizon,
+              recorder=recorder)
 
     measured = (coordinator.final_measured
                 if coordinator.final_measured is not None else float("nan"))

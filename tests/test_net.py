@@ -8,8 +8,9 @@ The two load-bearing contracts:
 * **Determinism** — the same seed yields bit-identical message logs and
   traces on every rerun, faults and churn included.
 
-Plus unit coverage of the virtual clock, mailbox, transports, fault
-injection, churn model, graceful degradation, and a hypothesis property:
+Plus unit coverage of the virtual clock, mailbox, transports and their
+delivery handlers, fault injection, churn model, graceful degradation,
+and a hypothesis property:
 any seeded fault schedule with loss < 1 terminates with γ̂ ∈ [0, 1].
 """
 
@@ -103,45 +104,26 @@ class TestVirtualClock:
 
 
 class TestMailbox:
-    def test_buffered_get_and_drain(self):
+    def test_put_buffers_until_drain(self):
         runtime = Runtime()
         box = Mailbox()
         seen = []
 
-        async def reader():
-            seen.append(await box.get())
-            seen.append(await box.get())
-            runtime.stop()
+        async def coordinator():
+            await runtime.sleep(1.5)
+            seen.extend(box.drain())
 
-        async def writer():
-            await runtime.sleep(1.0)
+        def deliver():
             box.put("a")
             box.put("b")
 
-        runtime.run([reader(), writer()])
+        runtime.clock.call_at(1.0, deliver)
+        runtime.run([coordinator()])
         assert seen == ["a", "b"]
         box.put("c")
         box.put("d")
         assert box.drain() == ["c", "d"]
         assert len(box) == 0
-
-    def test_single_reader_enforced(self):
-        runtime = Runtime()
-        box = Mailbox()
-        failures = []
-
-        async def reader():
-            try:
-                await box.get()
-            except RuntimeError as error:
-                failures.append(error)
-                runtime.stop()
-
-        async def tick():
-            await runtime.sleep(1.0)
-
-        runtime.run([reader(), reader(), tick()])
-        assert len(failures) == 1
 
 
 class TestRuntime:
@@ -179,6 +161,23 @@ class TestRuntime:
         with pytest.raises(ValueError, match="boom"):
             runtime.run([bomb()])
 
+    def test_handler_exception_propagates(self):
+        runtime = Runtime()
+        transport = LocalTransport(runtime)
+
+        def bomb(envelope):
+            raise ValueError("boom")
+
+        transport.register(1, bomb)
+
+        async def sender():
+            transport.send("edge", 1, GammaBroadcast(1, 0.5, 0.1), delay=1.0)
+            await runtime.sleep(5.0)
+
+        with pytest.raises(ValueError, match="boom"):
+            runtime.run([sender()])
+        assert runtime.now == 1.0
+
 
 # ---------------------------------------------------------------------------
 # Transports
@@ -189,19 +188,15 @@ class TestLocalTransport:
     def test_delivery_with_latency_and_log(self):
         runtime = Runtime()
         transport = LocalTransport(runtime)
-        box = transport.register(1)
         received = []
-
-        async def reader():
-            envelope = await box.get()
-            received.append((runtime.now, envelope.latency, envelope.message))
-            runtime.stop()
+        transport.register(1, lambda envelope: received.append(
+            (runtime.now, envelope.latency, envelope.message)))
 
         async def sender():
             await runtime.sleep(1.0)
             transport.send("edge", 1, GammaBroadcast(1, 0.5, 0.1), delay=0.25)
 
-        runtime.run([reader(), sender()])
+        runtime.run([sender()])
         assert received == [(1.25, 0.25, GammaBroadcast(1, 0.5, 0.1))]
         assert transport.log.count("sent") == 1
         assert transport.log.count("delivered") == 1
@@ -227,7 +222,7 @@ class TestFaultyTransport:
 
     def test_total_loss_drops_everything(self):
         runtime, transport = self._net(FaultConfig(loss=1.0))
-        transport.register(1)
+        transport.register(1, Mailbox().put)
 
         async def sender():
             for _ in range(10):
@@ -242,8 +237,8 @@ class TestFaultyTransport:
     def test_partition_blocks_both_directions_inside_window(self):
         faults = FaultConfig(partitions=(Partition(1.0, 3.0, frozenset({1})),))
         runtime, transport = self._net(faults)
-        transport.register(1)
-        transport.register("edge")
+        transport.register(1, Mailbox().put)
+        transport.register("edge", Mailbox().put)
 
         async def sender():
             transport.send("edge", 1, GammaBroadcast(1, 0.5, 0.1))   # t=0: flows
@@ -260,7 +255,7 @@ class TestFaultyTransport:
 
     def test_duplication_delivers_extra_copies(self):
         runtime, transport = self._net(FaultConfig(duplicate=1.0), seed=5)
-        transport.register(1)
+        transport.register(1, Mailbox().put)
 
         async def sender():
             transport.send("edge", 1, GammaBroadcast(1, 0.5, 0.1))
@@ -272,21 +267,16 @@ class TestFaultyTransport:
 
     def test_jitter_reorders_messages(self):
         runtime, transport = self._net(FaultConfig(jitter=1.0), seed=2)
-        box = transport.register(1)
         arrivals = []
-
-        async def reader():
-            while len(arrivals) < 20:
-                envelope = await box.get()
-                arrivals.append(envelope.message.round)
-            runtime.stop()
+        transport.register(
+            1, lambda envelope: arrivals.append(envelope.message.round))
 
         async def sender():
             for round_number in range(20):
                 transport.send("edge", 1, GammaBroadcast(round_number, 0.5, 0.1))
             await runtime.sleep(100.0)
 
-        runtime.run([reader(), sender()])
+        runtime.run([sender()])
         assert sorted(arrivals) == list(range(20))
         assert arrivals != list(range(20))   # exponential jitter reordered
 
@@ -296,7 +286,7 @@ class TestFaultyTransport:
             for attempt in range(2):
                 runtime, transport = self._net(
                     FaultConfig(loss=0.3, duplicate=0.2, jitter=0.5), seed=9)
-                transport.register(1)
+                transport.register(1, Mailbox().put)
 
                 async def sender():
                     for round_number in range(50):
@@ -314,7 +304,7 @@ class TestMessageLog:
         log = MessageLog(record_entries=False)
         runtime = Runtime()
         transport = LocalTransport(runtime, record_log=False)
-        transport.register(1)
+        transport.register(1, Mailbox().put)
 
         async def sender():
             transport.send("edge", 1, GammaBroadcast(1, 0.5, 0.1))
@@ -506,6 +496,13 @@ class TestConfig:
             FaultConfig(loss=1.5)
         with pytest.raises(ValueError):
             ChurnConfig(straggler_fraction=-0.1)
+
+    def test_max_backoff_below_report_timeout_rejected(self):
+        """A ceiling under the base wait would shorten the wait after a
+        silent round (10, 8, 8, 8) instead of backing off."""
+        with pytest.raises(ValueError, match="max_backoff"):
+            NetConfig(report_timeout=10.0, max_backoff=8.0)
+        assert NetConfig(report_timeout=8.0, max_backoff=8.0)
 
     def test_horizon_covers_round_budget(self):
         config = NetConfig(max_rounds=10, report_timeout=1.0, max_backoff=8.0)

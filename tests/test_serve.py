@@ -118,6 +118,8 @@ class TestServeConfig:
         {"silence_decay": 1.5},
         {"initial_step": 0.0},
         {"staleness_factor": -1.0},
+        # A backoff ceiling under the base wait would shorten the wait.
+        {"round_period": 2.0, "max_backoff": 1.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises((ValueError, TypeError)):

@@ -5,12 +5,16 @@ the vector multi-edge DTU (one stepper per site, regrow rule), the
 step-rule comparison, the stale-broadcast robustness run, the blind
 (rate-learning) DTU, and the sharded message-passing runtime. Their γ̂
 sequences are pinned here so that any refactor of the stepper or of a
-caller that moves a single estimate fails loudly.
+caller that moves a single estimate fails loudly. The message-passing
+runs also pin their message logs (every fate, sequence number and
+delivery time) and event counts, so a refactor of the actor runtime
+that reorders a single delivery or fault draw fails too.
 
 The pins are on γ̂, not γ: γ̂ moves only by sums of step sizes, so it
 does not depend on how a platform orders float reductions. Long series
 are pinned by a digest of their little-endian float64 bytes plus their
-length and final value; short ones verbatim.
+length and final value; short ones verbatim. A message log is pinned by
+a digest of its entries' ``repr`` plus its fate counts.
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ def _check_series(series, length, final, digest):
     assert len(series) == length
     assert list(np.asarray(series[-1], dtype=float).ravel()) == final
     assert _digest(series) == digest
+
+
+def _log_digest(log) -> str:
+    return hashlib.sha256(repr(log.entries).encode()).hexdigest()[:16]
 
 
 @pytest.mark.multiedge
@@ -170,8 +178,93 @@ class TestShardedPins:
         assert result.events_fired == 10717
         assert result.rounds.tolist() == [41, 40, 40]
         assert result.iterations.tolist() == [40, 39, 39]
+        assert _log_digest(result.log) == "0646ed6a526d6772"
         finals = [0.5344083694083694, 0.03769230769230768, 0.0]
         digests = ["61c170094d5df373", "a07e76739ae9cc7b", "7b6436b0c98f6238"]
         for trace, length, final, digest in zip(
                 result.traces, (41, 40, 40), finals, digests):
             _check_series(trace.estimated, length, [final], digest)
+
+
+@pytest.mark.net
+class TestNetLogPins:
+    """Single-site message-passing runs, pinned across commits: the
+    message log, its fate counts, the virtual-clock event count and the
+    γ̂ trace."""
+
+    @staticmethod
+    def _check(net, counts, events, log_digest, length, final, digest):
+        assert dict(net.log.counts) == counts
+        assert net.events_fired == events
+        assert _log_digest(net.log) == log_digest
+        _check_series(net.trace.estimated, length, [final], digest)
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        return sample_population(_CONFIG, 200, rng=1)
+
+    def test_loss_jitter_duplication(self):
+        from repro.net import FaultConfig, NetConfig, run_net_dtu
+        population = sample_population(_CONFIG, 500, rng=0)
+        net = run_net_dtu(population, NetConfig(
+            faults=FaultConfig(loss=0.1, duplicate=0.05, jitter=0.2),
+            seed=1))
+        self._check(
+            net, {"delivered": 23017, "dropped": 2382, "duplicated": 1128,
+                  "sent": 23027},
+            23042, "d0f5a5e43627fe54", 25, 0.22575757575757582,
+            "4dd9156e0e5997e7")
+
+    def test_partition_with_heartbeats(self, fleet):
+        from repro.net import FaultConfig, NetConfig, Partition, run_net_dtu
+        net = run_net_dtu(fleet, NetConfig(
+            faults=FaultConfig(loss=0.05, jitter=0.1, partitions=(
+                Partition(2.0, 9.0, frozenset(range(0, 200, 3))),)),
+            heartbeat_interval=1.5, seed=2, max_rounds=80))
+        self._check(
+            net, {"delivered": 11382, "dropped": 582, "partitioned": 737,
+                  "sent": 11382},
+            14607, "0aa402bb63a61094", 25, 0.22575757575757582,
+            "b6e0ed7bbeb64b38")
+
+    def test_churn_stragglers_heartbeats(self, fleet):
+        from repro.net import ChurnConfig, FaultConfig, NetConfig, run_net_dtu
+        net = run_net_dtu(fleet, NetConfig(
+            faults=FaultConfig(loss=0.1, jitter=0.2),
+            churn=ChurnConfig(leave_rate=0.02, mean_downtime=3.0,
+                              straggler_fraction=0.2, straggler_delay=0.4),
+            heartbeat_interval=2.0, seed=3, max_rounds=80))
+        self._check(
+            net, {"delivered": 10782, "dropped": 1155, "sent": 10797},
+            13397, "85b4d3ae980b4a16", 25, 0.21090909090909096,
+            "b533e61ac0803b45")
+
+    def test_diurnal_workload_scalar_devices(self, fleet):
+        from repro.net import FaultConfig
+        from repro.workload import (
+            WorkloadNetConfig,
+            build_workload_scenario,
+            run_workload_net,
+        )
+        result = run_workload_net(
+            fleet, build_workload_scenario("diurnal"),
+            WorkloadNetConfig(faults=FaultConfig(loss=0.1, jitter=0.2),
+                              seed=4, max_rounds=40,
+                              stop_on_convergence=False))
+        self._check(
+            result.net, {"delivered": 13837, "dropped": 1517, "sent": 13844},
+            13877, "ee594cde75e54611", 40, 0.19307359307359306,
+            "81d0468b0055601a")
+
+    def test_learning_policy_workload(self, fleet):
+        from repro.net import FaultConfig
+        from repro.workload import WorkloadNetConfig, run_workload_net
+        result = run_workload_net(
+            fleet, None,
+            WorkloadNetConfig(faults=FaultConfig(loss=0.1, jitter=0.2),
+                              seed=5, agent_policy="egreedy", max_rounds=40,
+                              stop_on_convergence=False))
+        self._check(
+            result.net, {"delivered": 13746, "dropped": 1550, "sent": 13756},
+            13786, "b10afe0b5902d501", 40, 0.254471182412359,
+            "4d42d3558139e153")
