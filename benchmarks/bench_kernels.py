@@ -18,13 +18,15 @@ plus table gathers.
 
 Each row also times the kernel levers in isolation: the lazy
 constructor vs a fully materialized build (``lazy_build_speedup`` — the
-deferred probe layout + on-demand α/Q fill) and warm vs cold probes over
-a prebuilt kernel's full bisection trajectory (``warm_probe_speedup``).
-The uncompiled and cold-probe sides are reached through bench-local
-subclasses, since the solvers compile only exact ``MeanFieldMap``\ s and
-warm-start only maps that offer ``probe_state``. The full run appends one
-compiled-only frontier row at N = 10⁷ (``--no-large`` skips it) — the
-uncompiled sweep is infeasible there, which is the point.
+deferred probe layout + on-demand α/Q fill) and bracketed vs probe-less
+probes over a prebuilt kernel's full bisection trajectory
+(``warm_probe_speedup``; the ``warm`` metric ids predate bracketing and
+are kept so rows stay comparable). The uncompiled and probe-less sides are
+reached through bench-local subclasses, since the solvers compile only
+exact ``MeanFieldMap``\ s and bracket only maps that offer
+``probe_state``. The full run appends one compiled-only frontier row at
+N = 10⁷ (``--no-large`` skips it) — the uncompiled sweep is infeasible
+there, which is the point.
 
 Standalone (the ``make bench-kernels`` target)::
 
@@ -98,7 +100,7 @@ def _uncompiled(population):
 
 def _cold_twin(kernel):
     """A table-sharing twin of ``kernel`` that the solvers probe cold:
-    they warm-start only maps that offer a probe state."""
+    they bracket only maps that offer a probe state."""
     from repro.core.kernels import CompiledMeanField
 
     class ColdProbeKernel(CompiledMeanField):
@@ -145,14 +147,15 @@ def _measure_point(n_users: int, seed: int = 7) -> dict:
         VALUE_REPETITIONS,
         lambda: CompiledMeanField(population).materialize())
 
-    # -- lever 3: warm-started probes on the γ grid -------------------
+    # -- lever 3: bracketed probes on the γ grid ----------------------
     def _grid_warm():
         probe = kernel.probe_state()
         return [kernel.value(g, probe=probe) for g in gammas]
 
     value_warm_seconds, warm_values = _best_of(
         VALUE_REPETITIONS, _grid_warm)
-    assert warm_values == plain_values, "warm probe broke V(γ) bit-identity"
+    assert warm_values == plain_values, \
+        "bracketed probe broke V(γ) bit-identity"
 
     # -- the consumers, end to end (compiled path re-builds inside) ---
     solve_plain_seconds, solve_plain = _best_of(
@@ -161,15 +164,15 @@ def _measure_point(n_users: int, seed: int = 7) -> dict:
         RUN_REPETITIONS, solve_mfne, mean_field)
     assert solve_compiled.utilization == solve_plain.utilization
 
-    # Warm vs cold probes on the *prebuilt* kernel's full bisection
-    # trajectory — the regime the galloping warm start exists for
-    # (consecutive iterates move few users).
+    # Bracketed vs probe-less on the *prebuilt* kernel's full bisection
+    # trajectory — the regime bracketing exists for (the bracket narrows,
+    # so each probe re-searches fewer users).
     solve_warm_seconds, solve_warm = _best_of(
         RUN_REPETITIONS, solve_mfne, kernel)
     solve_cold_probe_seconds, solve_cold = _best_of(
         RUN_REPETITIONS, solve_mfne, _cold_twin(kernel))
     assert solve_warm.history == solve_cold.history, \
-        "warm probes changed the solver trajectory"
+        "bracketed probes changed the solver trajectory"
 
     config = DtuConfig(seed=3)
     dtu_plain_seconds, dtu_plain = _best_of(
@@ -211,12 +214,12 @@ def _measure_point(n_users: int, seed: int = 7) -> dict:
 
 
 def _measure_point_large(n_users: int = LARGE_SIZE, seed: int = 7) -> dict:
-    """The compiled-only frontier row: build + γ grid + warm-probe solve.
+    """The compiled-only frontier row: build + γ grid + bracketed solve.
 
     The uncompiled staircase sweep is ``O(N·m_max)`` *per evaluation* —
     hours at N = 10⁷ — so this row never runs it: it times what the PR's
     three levers make feasible (one lazy fused build, 20 compiled
-    ``V(γ)`` evaluations, and a full MFNE solve with warm vs cold
+    ``V(γ)`` evaluations, and a full MFNE solve with bracketed vs cold
     probes). ``lazy_fill``/``probe_state`` mark the row as a distinct
     case for the ``repro.obs.bench`` normalizer.
     """
@@ -239,11 +242,12 @@ def _measure_point_large(n_users: int = LARGE_SIZE, seed: int = 7) -> dict:
         return [kernel.value(g, probe=probe) for g in gammas]
 
     value_warm_seconds, warm_values = _time(_grid_warm)
-    assert warm_values == cold_values, "warm probe broke V(γ) bit-identity"
+    assert warm_values == cold_values, \
+        "bracketed probe broke V(γ) bit-identity"
     solve_warm_seconds, solve_warm = _time(solve_mfne, kernel)
     solve_cold_seconds, solve_cold = _time(solve_mfne, _cold_twin(kernel))
     assert solve_warm.history == solve_cold.history, \
-        "warm probes changed the solver trajectory"
+        "bracketed probes changed the solver trajectory"
     return {
         "n_users": n_users,
         "lazy_fill": True,

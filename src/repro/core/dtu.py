@@ -16,7 +16,8 @@ Each iteration ``t``:
 4. the actual utilisation ``γ_{t+1}`` induced by the new thresholds is
    measured (Eq. 6).
 
-The loop stops when ``|γ̂_{t−1} − γ̂_{t−2}| ≤ ε``. Theorem 2 proves
+The loop stops when ``|γ̂_{t−1} − γ̂_{t−2}| ≤ ε``, never before the
+first update (``γ̂_{−1} = 1`` is only a sentinel). Theorem 2 proves
 convergence to the MFNE ``γ*`` when the utilisation oracle is the analytic
 ``J1``; the oracle is pluggable so the *practical settings* experiments can
 drive the same algorithm with a discrete-event-simulated edge instead
@@ -160,8 +161,14 @@ class DtuStepper:
 
     @property
     def converged(self) -> bool:
-        """The Algorithm-1 stop test ``|γ̂_t − γ̂_{t−1}| ≤ ε``."""
-        return abs(self.estimate - self.previous) <= self.tolerance
+        """The Algorithm-1 stop test ``|γ̂_t − γ̂_{t−1}| ≤ ε``, once moved.
+
+        Before the first :meth:`update` the only history is the
+        ``γ̂_{−1} = 1`` sentinel, which says nothing about the estimate:
+        a start within ε of 1 must still take a step.
+        """
+        return self.updates > 0 \
+            and abs(self.estimate - self.previous) <= self.tolerance
 
     def update(self, actual: float) -> float:
         """Move γ̂ one sign step toward ``actual`` (Eq. 4); return new γ̂.
@@ -230,13 +237,23 @@ class UtilizationOracle(Protocol):
 
 
 class AnalyticUtilizationOracle:
-    """The closed-form ``J1`` of Eq. (6) — exact under exponential service."""
+    """The closed-form ``J1`` of Eq. (6) — exact under exponential service.
 
-    def __init__(self, mean_field: MeanFieldMap):
+    ``probe`` is a :class:`repro.core.kernels.ProbeState` of
+    ``mean_field`` (what :func:`run_dtu` threads through its best
+    responses): measuring that probe's last response then reduces its α
+    column instead of re-gathering the tables. ``None`` for maps without
+    one.
+    """
+
+    def __init__(self, mean_field: MeanFieldMap, probe=None):
         self.mean_field = mean_field
+        self.probe = probe
 
     def measure(self, thresholds: np.ndarray) -> float:
-        return self.mean_field.utilization(thresholds)
+        if self.probe is None:
+            return self.mean_field.utilization(thresholds)
+        return self.mean_field.utilization(thresholds, probe=self.probe)
 
 
 @dataclass(frozen=True)
@@ -334,11 +351,16 @@ def run_dtu(
     default analytic oracle is built from the compiled map, so its Eq. 6
     measurements run off the α tables too. Subclasses and ready-made
     kernels pass through. Maps that offer a
-    :meth:`~repro.core.meanfield.MeanFieldMap.probe_state` seed each
-    best-response probe from the previous iteration's counts: γ̂ moves by
-    at most η per iteration, so warm galloping probes settle almost every
-    user in one sweep, and the threshold trajectory is bit-identical to
-    cold probes (pinned by the test suite).
+    :meth:`~repro.core.meanfield.MeanFieldMap.probe_state` thread one
+    probe through every best response: γ̂ keeps returning to estimates
+    it already broadcast (answered with no search) and otherwise lands
+    between two of them, where only users whose thresholds differ at
+    those two are re-searched. The same probe goes to the default
+    oracle and to the per-iteration ``average_cost`` record, which read
+    its α/Q columns when the measured thresholds are the probe's last
+    response (synchronous runs) and gather from the tables otherwise.
+    The threshold trajectory is bit-identical to probe-less evaluation
+    (pinned by the test suite).
     """
     config = config or DtuConfig()
     if type(mean_field) is MeanFieldMap:
@@ -346,7 +368,7 @@ def run_dtu(
     # getattr: duck-typed stand-ins only need to provide best_response.
     probe_state = getattr(mean_field, "probe_state", None)
     probe = probe_state() if probe_state is not None else None
-    oracle = oracle or AnalyticUtilizationOracle(mean_field)
+    oracle = oracle or AnalyticUtilizationOracle(mean_field, probe)
     check_unit_interval("initial_estimate", initial_estimate)
     rng = as_generator(config.seed)
     asynchronous = config.update_probability < 1.0
@@ -381,7 +403,7 @@ def run_dtu(
     with obs.timer("dtu.oracle_measure_seconds"):
         actual = oracle.measure(thresholds)
     _record(trace, mean_field, stepper.estimate, actual, stepper.step,
-            thresholds, config)
+            thresholds, config, probe)
 
     iterations = 0
     converged = False
@@ -414,7 +436,7 @@ def run_dtu(
             actual = oracle.measure(thresholds)
 
         _record(trace, mean_field, estimate, actual, stepper.step,
-                thresholds, config)
+                thresholds, config, probe)
         if tracing:
             obs.count("dtu.iterations")
             obs.event("dtu.iteration", t=t, gamma_hat=estimate, gamma=actual,
@@ -443,12 +465,14 @@ def _record(
     step: float,
     thresholds: np.ndarray,
     config: DtuConfig,
+    probe,
 ) -> None:
     trace.estimated_utilization.append(estimate)
     trace.actual_utilization.append(actual)
     trace.step_sizes.append(step)
+    gamma = min(actual, 1.0)
     trace.average_costs.append(
-        mean_field.average_cost(min(actual, 1.0), thresholds)
-    )
+        mean_field.average_cost(gamma, thresholds) if probe is None
+        else mean_field.average_cost(gamma, thresholds, probe=probe))
     if config.record_thresholds:
         trace.thresholds.append(thresholds.copy())

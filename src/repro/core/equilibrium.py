@@ -41,7 +41,7 @@ class MfneResult:
 
 
 def _evaluate(mean_field: MeanFieldMap, gamma: float, probe) -> float:
-    """``V(γ)``, threading a warm-start probe when the map supports one.
+    """``V(γ)``, threading a bracketing probe when the map supports one.
 
     ``probe`` is whatever ``mean_field.probe_state()`` returned — ``None``
     for uncompiled maps and subclasses that do not opt in, in which case
@@ -82,10 +82,12 @@ def solve_mfne(
     build pays for itself immediately); ready-made kernels are reused
     as-is and subclasses with their own best-response semantics are left
     untouched. Maps that offer a :meth:`~MeanFieldMap.probe_state` get
-    warm-started probes: consecutive iterates move few users, so each
-    probe gallops out from the previous counts in near-``O(N)``, and the
-    visited trajectory is bit-identical to cold probes (pinned by the
-    test suite).
+    bracketed probes: every midpoint lies between two probed points, and
+    a user whose threshold is equal at both keeps it in between, so each
+    probe re-searches only the users whose thresholds differ at the
+    current bracket's ends — a set that empties as the bracket shrinks.
+    The visited trajectory is bit-identical to probe-less evaluation
+    (pinned by the test suite).
     """
     check_positive("tolerance", tolerance)
     check_int_positive("max_iterations", max_iterations)

@@ -116,13 +116,14 @@ class MeanFieldMap:
         return CompiledMeanField(self.population, self.delay_model)
 
     def probe_state(self):
-        """Warm-start state for threshold probes, if this map supports it.
+        """Bracketing state for threshold probes, if this map supports it.
 
         The uncompiled map (and subclasses that do not opt in) return
         ``None``; :class:`repro.core.kernels.CompiledMeanField` returns a
         :class:`~repro.core.kernels.ProbeState` the solvers can thread
-        through consecutive ``best_response``/``value`` calls. Callers
-        must pass ``probe=`` only when this returned non-``None``.
+        through consecutive ``best_response``/``value`` calls (and the
+        ``utilization``/cost calls on their responses). Callers must pass
+        ``probe=`` only when this returned non-``None``.
         """
         return None
 

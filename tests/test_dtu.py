@@ -74,7 +74,25 @@ class TestConvergence:
     def test_estimate_stays_in_unit_interval(self, mean_field):
         result = run_dtu(mean_field, initial_estimate=0.99)
         estimates = np.asarray(result.trace.estimated_utilization)
+        assert result.iterations > 0
         assert np.all((estimates >= 0.0) & (estimates <= 1.0))
+
+    @pytest.mark.parametrize("start", [0.995, 1.0])
+    def test_start_near_sentinel_still_moves(self, mean_field, start):
+        """A γ̂_0 within ε of the γ̂_{−1} = 1 sentinel is no stop: both
+        Algorithm-1 loops step down and end within ε of γ*."""
+        from repro.net.protocol import NetConfig, run_net_dtu
+
+        gamma_star = solve_mfne(mean_field).utilization
+        local = run_dtu(mean_field, initial_estimate=start)
+        net = run_net_dtu(mean_field.population,
+                          NetConfig(initial_estimate=start),
+                          delay_model=mean_field.delay_model)
+        for result in (local, net):
+            assert result.converged
+            assert result.iterations > 0
+            assert abs(result.estimated_utilization - gamma_star) \
+                <= DtuConfig().tolerance
 
     def test_asynchronous_still_converges(self, mean_field):
         """Section IV-B: per-user update probability 0.8."""

@@ -25,7 +25,12 @@ from repro.core.edge_delay import (
     PowerDelay,
     ReciprocalDelay,
 )
-from repro.core.kernels import CompiledMeanField, KernelStats, compile_mean_field
+from repro.core.kernels import (
+    MAX_ANCHORS,
+    CompiledMeanField,
+    KernelStats,
+    compile_mean_field,
+)
 from repro.core.meanfield import MeanFieldMap
 from repro.core.tro import offload_probability, queue_and_offload
 from repro.obs import MetricsRegistry, ObsRecorder, use_recorder
@@ -62,7 +67,7 @@ class _ReferenceMap(MeanFieldMap):
 
 
 class _ColdProbeKernel(CompiledMeanField):
-    """A kernel without warm starts: the solvers probe it cold."""
+    """A kernel without a probe state: the solvers probe it cold."""
 
     def probe_state(self):
         return None
@@ -152,6 +157,9 @@ class TestThresholdEquivalence:
             kernel.thresholds(0.0), np.zeros(5, dtype=np.int64))
         uncompiled = MeanFieldMap(population, PAPER_DELAY_MODEL)
         assert kernel.value(0.7) == uncompiled.value(0.7)
+        probe = kernel.probe_state()
+        for gamma in (0.7, 0.2, 0.7):
+            assert kernel.value(gamma, probe=probe) == uncompiled.value(gamma)
 
 
 class TestScalarProbes:
@@ -390,7 +398,7 @@ class TestLazyTables:
 
 
 class TestWarmProbes:
-    """Lever 3: warm-started galloping probes, trajectory bit-identity."""
+    """Lever 3: bracketed probes, trajectory bit-identity with cold ones."""
 
     def test_solve_mfne_warm_vs_cold_identical(self, mean_field):
         from repro.core.equilibrium import solve_mfne
@@ -430,8 +438,156 @@ class TestWarmProbes:
     def test_probe_of_other_kernel_rejected(self, small_population):
         first = CompiledMeanField(small_population)
         second = CompiledMeanField(small_population)
+        foreign = first.probe_state()
+        thresholds = first.thresholds(0.5, probe=foreign)
         with pytest.raises(ValueError, match="different kernel"):
-            second.value(0.5, probe=first.probe_state())
+            second.value(0.5, probe=foreign)
+        with pytest.raises(ValueError, match="different kernel"):
+            second.thresholds(0.5, probe=foreign)
+        with pytest.raises(ValueError, match="different kernel"):
+            second.utilization(thresholds, probe=foreign)
+        with pytest.raises(ValueError, match="different kernel"):
+            second.user_costs(0.5, thresholds, probe=foreign)
+        with pytest.raises(ValueError, match="different kernel"):
+            second.average_cost(0.5, thresholds, probe=foreign)
+
+
+#: γ values that land exactly on a breakpoint of the tie populations
+#: below (θ = 1, a = 1, g = 6γ: U ∈ {1, 3, 6} = f(1|1), f(2|1), f(3|1)),
+#: and their neighbours one ulp down, whose counts are one lower.
+_TIE_GAMMAS = (0.0, 1.0 / 6.0, 0.5, 1.0)
+_NEAR_TIES = tuple(float(np.nextafter(g, 0.0)) for g in _TIE_GAMMAS[1:])
+
+_gamma_lists = st.lists(
+    st.one_of(st.sampled_from(_TIE_GAMMAS + _NEAR_TIES),
+              st.floats(0.0, 1.0, allow_nan=False)),
+    min_size=3, max_size=12)
+
+
+def _probe_sequence(gammas):
+    """Repeats, a reversal, both ends, a probe one ulp below 1, and more
+    probes than anchors."""
+    return (gammas + gammas[::-1] + [0.0, 1.0, _NEAR_TIES[-1]]
+            + gammas[:MAX_ANCHORS])
+
+
+class TestBracketedProbes:
+    """Bracketed probes and response columns against probe-less calls."""
+
+    @staticmethod
+    def _check_probes(kernel, gammas):
+        by_thresholds = kernel.probe_state()
+        by_value = kernel.probe_state()
+        for gamma in gammas:
+            expected = kernel.thresholds(gamma)
+            probed = kernel.thresholds(gamma, probe=by_thresholds)
+            assert probed.dtype == expected.dtype
+            np.testing.assert_array_equal(probed, expected)
+            assert kernel.value(gamma, probe=by_value) == kernel.value(gamma)
+            assert len(by_thresholds.anchors) <= MAX_ANCHORS
+            assert len(by_value.anchors) <= MAX_ANCHORS
+
+    @staticmethod
+    def _check_columns(kernel, probe, gamma, other):
+        """The five inputs: the last response as int and as float, one
+        entry changed, fractional thresholds, an asynchronous mix."""
+        last = kernel.thresholds(gamma, probe=probe)
+        changed = last.copy()
+        changed[0] += 1
+        mix = np.where(np.arange(last.size) % 2 == 0, last,
+                       kernel.thresholds(other)).astype(float)
+        for x in (last, last.astype(float), changed, last + 0.5, mix):
+            assert kernel.utilization(x, probe=probe) == \
+                kernel.utilization(x)
+            np.testing.assert_array_equal(
+                kernel.user_costs(gamma, x, probe=probe),
+                kernel.user_costs(gamma, x))
+            assert kernel.average_cost(gamma, x, probe=probe) == \
+                kernel.average_cost(gamma, x)
+        assert kernel.average_cost(gamma, probe=probe) == \
+            kernel.average_cost(gamma)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_users=st.integers(10, 80),
+        model_index=st.integers(0, len(DELAY_MODELS) - 1),
+        gammas=_gamma_lists,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_populations(self, seed, n_users, model_index, gammas):
+        population = _random_population(seed, n_users)
+        kernel = compile_mean_field(population, DELAY_MODELS[model_index])
+        sequence = _probe_sequence(gammas)
+        self._check_probes(kernel, sequence)
+        probe = kernel.probe_state()
+        for gamma, other in zip(sequence, sequence[1:]):
+            self._check_columns(kernel, probe, gamma, other)
+
+    @given(gammas=_gamma_lists)
+    @settings(max_examples=30, deadline=None)
+    def test_tie_population(self, gammas):
+        """Comparison values landing exactly on breakpoints at the tie γ
+        and one ulp below them (see ``_TIE_GAMMAS``)."""
+        population = _deterministic_population(6, arrival=1.0, service=1.0)
+        kernel = compile_mean_field(population,
+                                    LinearDelay(base=0.0, slope=6.0))
+        sequence = _probe_sequence(gammas)
+        self._check_probes(kernel, sequence)
+        probe = kernel.probe_state()
+        for gamma, other in zip(sequence, sequence[1:]):
+            self._check_columns(kernel, probe, gamma, other)
+
+    def test_solvers_call_the_traced_methods(self, mean_field, monkeypatch):
+        """The benchmark tracer times ``value``, ``best_response`` and
+        ``utilization`` by name; the solvers must reach the kernel
+        through them, once per evaluation."""
+        from repro.core.dtu import run_dtu
+        from repro.core.equilibrium import solve_mfne
+
+        calls = {}
+        for name in ("value", "best_response", "utilization"):
+            original = getattr(CompiledMeanField, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(CompiledMeanField, name, counted)
+        kernel = mean_field.compile()
+        mfne = solve_mfne(kernel)
+        dtu = run_dtu(kernel)
+        assert calls == {"value": mfne.iterations + 3,
+                         "best_response": dtu.iterations + 1,
+                         "utilization": dtu.iterations + 1}
+
+    def test_counters_repeat_and_stay_bounded(self, mean_field):
+        """Bracket and column counters: identical across two runs on one
+        population, and never more re-searched users than probes·N."""
+        from repro.core.dtu import DtuConfig, run_dtu
+        from repro.core.equilibrium import solve_mfne
+
+        def counters():
+            registry = MetricsRegistry()
+            with use_recorder(ObsRecorder(registry)):
+                kernel = mean_field.compile()
+                solve_mfne(kernel)
+                run_dtu(kernel)
+                run_dtu(kernel, DtuConfig(seed=11, update_probability=0.8))
+            return {name: registry.counter(name).value for name in (
+                "kernel.bracket_users", "kernel.bracket_hits",
+                "kernel.column_reuses", "kernel.column_fallbacks",
+                "kernel.value_evaluations",
+                "kernel.threshold_evaluations")}
+
+        first = counters()
+        assert counters() == first
+        probes = first["kernel.value_evaluations"] \
+            + first["kernel.threshold_evaluations"]
+        assert 0 < first["kernel.bracket_users"] \
+            <= probes * mean_field.population.size
+        assert first["kernel.bracket_hits"] > 0
+        assert first["kernel.column_reuses"] > 0      # synchronous DTU
+        assert first["kernel.column_fallbacks"] > 0   # asynchronous mixes
 
 
 class TestSharedMemoryKernel:

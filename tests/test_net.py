@@ -383,6 +383,7 @@ class TestEquivalence:
     def test_initial_estimate_above_equilibrium(self, fleet):
         reference = run_dtu(MeanFieldMap(fleet), initial_estimate=1.0)
         result = run_net_dtu(fleet, NetConfig(initial_estimate=1.0))
+        assert result.iterations > 0
         assert result.estimated_utilization == reference.estimated_utilization
         assert result.iterations == reference.iterations
 
