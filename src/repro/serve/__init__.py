@@ -20,7 +20,8 @@ serving threshold decisions over HTTP:
 * :class:`~repro.serve.httpd.DecisionServer` — the HTTP surface
   (``POST /decide``, ``POST /join``, ``POST /leave``, ``GET /state``,
   ``GET /healthz``, ``GET /metrics``) on the shared
-  :mod:`repro.utils.httpd` plumbing;
+  :mod:`repro.utils.httpd` plumbing, keeping each device's rendered
+  ``/decide`` row until its threshold moves;
 * :mod:`repro.serve.replay` — a seeded open-loop load-test client that
   replays synthetic decision traffic and writes ``BENCH_serve.json``.
 

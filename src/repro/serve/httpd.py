@@ -26,10 +26,17 @@ can take; a body left unread closes the connection.  Every response is
 JSON (except ``/metrics``) and carries ``Content-Length``, so HTTP/1.1
 keep-alive works and a replay client can reuse one connection per worker.
 
-The ``/decide`` body is rendered straight from the service's
+The ``/decide`` body is rendered from the service's
 :class:`~repro.serve.service.Decisions` columns by one row template
 (:func:`encode_decisions`), byte-identical to ``json.dumps`` of the
-equivalent dict document.
+equivalent dict document.  A device's row depends only on its threshold:
+on the service's kernel α is the table entry of (device, threshold) and
+the rate is the device's arrival rate times α.  So the server keeps one
+rendered row per provisioned device (:meth:`DecisionServer.encode`) and
+a body is the join of its batch's rows; only a row whose threshold moved
+since it was last served — γ̂ crossed one of the device's breakpoints —
+is rendered again.  ``serve.rows_rendered`` on ``/metrics`` counts those,
+beside ``serve.decisions``.
 
 Request spans: constructed with ``spans=SpanCollector(...)``, the server
 records one ``serve.decide`` span per admitted request (wall time as the
@@ -41,7 +48,9 @@ is why the collector is owned here and **not** handed to the coordinator.
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import List, Optional
+
+import numpy as np
 
 from repro.obs.serve import prometheus_text
 from repro.obs.spans import SpanCollector
@@ -50,9 +59,14 @@ from repro.utils.httpd import HttpDaemon, QuietHandler
 
 #: One decision, exactly as ``json.dumps`` writes the dict
 #: ``{"device": int, "threshold": int, "offload_probability": float,
-#: "offload_rate": float}`` (floats print as ``repr``, as json does).
-_ROW = ('{"device": %d, "threshold": %d, "offload_probability": %r, '
-        '"offload_rate": %r}')
+#: "offload_rate": float}`` (floats print as ``repr``, as json does; in a
+#: bytes template ``%a`` is ``repr``, ASCII-encoded).
+_ROW = (b'{"device": %d, "threshold": %d, "offload_probability": %a, '
+        b'"offload_rate": %a}')
+
+#: The longest ``repr`` of a float: a sign, 17 significant digits, the
+#: point and a three-digit exponent (``-2.2250738585072014e-308``).
+_REPR_WIDTH = 24
 
 #: Request-body bytes allowed per device (an id has at most 20
 #: characters; the rest covers separators and whitespace), plus a fixed
@@ -61,24 +75,33 @@ _BODY_BYTES_PER_DEVICE = 32
 _BODY_BYTES_FIXED = 1024
 
 
+def _render(decisions: Decisions, picked) -> List[bytes]:
+    """Rows ``picked`` of ``decisions``, each through the row template."""
+    return list(map(_ROW.__mod__, zip(
+        decisions.devices[picked].tolist(),
+        decisions.thresholds[picked].tolist(),
+        decisions.offload_probabilities[picked].tolist(),
+        decisions.offload_rates[picked].tolist())))
+
+
 def encode_decisions(decisions: Decisions) -> bytes:
     """The ``/decide`` body for ``decisions``, one row template per device.
 
     Equal to ``json.dumps`` of ``{"round", "gamma", "stale",
     "decisions": [row, ...]}`` plus a newline; a single-device query also
-    repeats its one row's fields at the top level.
+    repeats its one row's fields at the top level.  The server builds the
+    same bytes from its cached rows (:meth:`DecisionServer.encode`).
     """
-    rows = list(zip(decisions.devices.tolist(),
-                    decisions.thresholds.tolist(),
-                    decisions.offload_probabilities.tolist(),
-                    decisions.offload_rates.tolist()))
-    text = '{"round": %d, "gamma": %r, "stale": %s, "decisions": [%s]' % (
+    return _body(decisions, _render(decisions, slice(None)))
+
+
+def _body(decisions: Decisions, rows: List[bytes]) -> bytes:
+    """The ``/decide`` document around its rendered ``rows``."""
+    head = '{"round": %d, "gamma": %r, "stale": %s, "decisions": [' % (
         decisions.round, decisions.gamma,
-        "true" if decisions.stale else "false",
-        ", ".join(map(_ROW.__mod__, rows)))
-    if decisions.single:
-        text += ", " + _ROW[1:-1] % rows[0]
-    return (text + "}\n").encode("utf-8")
+        "true" if decisions.stale else "false")
+    tail = b"], " + rows[0][1:-1] + b"}\n" if decisions.single else b"]}\n"
+    return head.encode() + b", ".join(rows) + tail
 
 
 class _Handler(QuietHandler):
@@ -86,7 +109,7 @@ class _Handler(QuietHandler):
 
     def encode_json(self, document) -> bytes:
         if isinstance(document, Decisions):
-            return encode_decisions(document)
+            return self.server.decision_server.encode(document)
         return super().encode_json(document)
 
     # -- GET ---------------------------------------------------------------
@@ -178,10 +201,12 @@ class _Handler(QuietHandler):
         try:
             body = self.read_json_body(length)
         except ValueError as error:
+            service.registry.inc("serve.errors")
             self.send_json(400, {"error": str(error)})
             return
         devices = self._extract_devices(body)
         if devices is None:
+            service.registry.inc("serve.errors")
             self.send_json(400, {
                 "error": "body must carry \"device\": int or "
                          "\"devices\": [int, ...]"})
@@ -190,6 +215,7 @@ class _Handler(QuietHandler):
             accepted = service.join(devices) if joining \
                 else service.leave(devices)
         except ValueError as error:
+            service.registry.inc("serve.errors")
             self.send_json(400, {"error": str(error)})
             return
         self.send_json(200, {"accepted": accepted, "joining": joining})
@@ -210,7 +236,16 @@ class _Handler(QuietHandler):
 
 
 class DecisionServer:
-    """The decision service behind a threaded stdlib HTTP daemon."""
+    """The decision service behind a threaded stdlib HTTP daemon.
+
+    The server keeps the ``/decide`` row it last rendered for each
+    provisioned device in a fixed-width bytes array, beside the threshold
+    it was rendered at (−1: never).  A slot is as wide as the widest row
+    the population can produce — the largest id, the kernel's
+    ``max_threshold`` and two float reprs of the longest possible
+    length — so no row is ever cut.  Handler threads share the slots
+    behind one lock.
+    """
 
     def __init__(self, service: DecisionService, port: int = 0,
                  host: str = "127.0.0.1",
@@ -218,6 +253,13 @@ class DecisionServer:
         self.service = service
         self.spans = spans
         self._span_lock = threading.Lock()
+        n = service.population.size
+        width = len(_ROW.replace(b"%a", b"") % (
+            n - 1, service.kernel.stats.max_threshold)) + 2 * _REPR_WIDTH
+        self._rows = np.zeros(n, dtype=f"S{width}")
+        self._row_thresholds = np.full(n, -1, dtype=np.int64)
+        self._row_lock = threading.Lock()
+        service.registry.counter("serve.rows_rendered")
         self._daemon = HttpDaemon(
             _Handler, port=port, host=host,
             name="repro-decision-server", decision_server=self,
@@ -228,6 +270,28 @@ class DecisionServer:
         """The largest request body read: ``max_batch`` devices' worth."""
         return (_BODY_BYTES_PER_DEVICE * self.service.config.max_batch
                 + _BODY_BYTES_FIXED)
+
+    def encode(self, decisions: Decisions) -> bytes:
+        """The ``/decide`` body for ``decisions`` from the service.
+
+        Rows whose device was last served at the same threshold come from
+        the slots; the rest are rendered, written back and counted in
+        ``serve.rows_rendered``.  Byte-identical to
+        :func:`encode_decisions`, which renders every row.
+        """
+        devices, thresholds = decisions.devices, decisions.thresholds
+        with self._row_lock:
+            rows = self._rows[devices]
+            moved = np.flatnonzero(self._row_thresholds[devices]
+                                   != thresholds)
+        if moved.size:
+            rows[moved] = _render(decisions, moved)
+            with self._row_lock:
+                self._rows[devices[moved]] = rows[moved]
+                self._row_thresholds[devices[moved]] = thresholds[moved]
+                self.service.registry.inc("serve.rows_rendered",
+                                          float(moved.size))
+        return _body(decisions, rows.tolist())
 
     # -- span plumbing (handler threads share one collector) ---------------
 

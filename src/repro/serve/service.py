@@ -24,10 +24,11 @@
 Every ``decide`` answers with columns (:class:`Decisions`) and doubles
 as one :class:`~repro.net.messages.ReportBatch` to the coordinator
 (marshalled onto the driver thread as a single message, whatever the
-batch size), so the service measures γ from the traffic it actually
-serves; with a frozen population querying steadily, the γ̂ trajectory
-settles onto the same fixed point as the offline
-:func:`repro.core.dtu.run_dtu` (pinned by ``tests/test_serve.py``).
+batch size, and applied to the report table as it arrives), so the
+service measures γ from the traffic it actually serves; with a frozen
+population querying steadily, the γ̂ trajectory settles onto the same
+fixed point as the offline :func:`repro.core.dtu.run_dtu` (pinned by
+``tests/test_serve.py``).
 
 **Staleness semantics** — responses carry ``stale: true`` when the γ̂
 they answer from predates the last re-estimation deadline by more than
@@ -163,19 +164,20 @@ class ServingCoordinator(EdgeCoordinator):
       fanning N messages out to mailboxes that don't exist;
     * **membership starts empty** — the provisioned fleet joins
       explicitly (or implicitly on first decide);
-    * **the report table is columnar** — one slot per provisioned device
-      (``devices`` must be ``0..N-1``): a joined mask, the last-heard
-      time, and the stored report's time, round and rate.  The drain
-      applies each run of :class:`ReportBatch` messages, and each
-      :class:`JoinLeave`, with a few vector ops under the base rules (the
-      newest round wins, ties go to the later message, a leave clears
-      the report), and a round's measurement and census are masked
-      reductions over N.  The usable rates come out in device order, so
-      the NumPy mean — and with it every γ̂ trajectory — is bit-equal to
-      the per-message table's.
+    * **the report table is columnar and fed on arrival** — one slot per
+      provisioned device (``devices`` must be ``0..N-1``): a joined mask,
+      the last-heard time, and the stored report's time, round and rate.
+      The coordinator's delivery handler is :meth:`_handle`, not its
+      mailbox: each :class:`ReportBatch` is applied as it is delivered,
+      with O(B) vector ops, and each :class:`JoinLeave` with three scalar
+      writes, under the base rules (the newest round wins, ties go to
+      the later message, a leave clears the report).  A round's
+      measurement and census are masked reductions over N.  The usable
+      rates come out in device order, so the NumPy mean — and with it
+      every γ̂ trajectory — is bit-equal to the per-message table's.
 
     The round loop, stepper, and degradation logic are inherited
-    untouched.
+    untouched; the inherited drain finds the mailbox empty.
     """
 
     def __init__(self, *args, **kwargs):
@@ -189,6 +191,8 @@ class ServingCoordinator(EdgeCoordinator):
         self._report_at = np.zeros(n)
         self._report_round = np.full(n, -1, dtype=np.int64)   # -1: none
         self._report_rate = np.zeros(n)
+        self._last_row = np.full(n, -1, dtype=np.int64)   # see _apply_batch
+        self.transport.register(self.address, self._handle)
         self.last_round_ended = 0.0
         self.last_round_status = "init"
         self.rounds_completed = 0
@@ -211,61 +215,39 @@ class ServingCoordinator(EdgeCoordinator):
 
     # -- the report table --------------------------------------------------
 
-    def _drain(self) -> None:
-        # Consecutive batches are applied as one run, so a round costs a
-        # few vector ops (and few GIL hand-offs to the busy handler
-        # threads) however many requests it served.
-        run: List = []
-        for envelope in self.mailbox.drain():
-            if isinstance(envelope.message, ReportBatch):
-                run.append(envelope)
-                continue
-            self._apply_reports(run)
-            run = []
-            self._handle(envelope)
-        self._apply_reports(run)
-
     def _handle(self, envelope) -> None:
-        """Apply a :class:`JoinLeave` (batches go through the drain)."""
+        """Apply one message as it is delivered (the transport's handler)."""
         message = envelope.message
-        if isinstance(message, JoinLeave):
+        if isinstance(message, ReportBatch):
+            self._apply_batch(message, envelope.delivered_at)
+        elif isinstance(message, JoinLeave):
             self._heard_at[message.device] = envelope.delivered_at
             self._joined[message.device] = message.joining
             if not message.joining:
                 self._report_round[message.device] = -1
 
-    def _apply_reports(self, envelopes: List) -> None:
-        """Apply a run of :class:`ReportBatch` envelopes as if row by row.
+    def _apply_batch(self, batch: ReportBatch, at: float) -> None:
+        """Apply one :class:`ReportBatch` as if row by row, in O(B).
 
-        Per device, its last row sets the last-heard time, and its last
-        row of the newest round replaces the stored report if that round
-        is at least the stored one — the per-message rules, folded into
-        two scatter-max passes over the run's rows.
+        Every row marks its device heard at ``at`` (and joined, if the
+        batch joins).  The batch's round replaces a device's stored
+        report when it is at least the stored round, and the device's
+        last row supplies the rate: a scatter-max of row numbers into
+        ``_last_row`` finds it, and the rows are reset to −1 after.
         """
-        if not envelopes:
-            return
-        batches = [envelope.message for envelope in envelopes]
-        sizes = [batch.devices.size for batch in batches]
-        devices = np.concatenate([batch.devices for batch in batches])
-        rates = np.concatenate([batch.offload_rates for batch in batches])
-        rounds = np.repeat([batch.round for batch in batches], sizes)
-        times = np.repeat([envelope.delivered_at for envelope in envelopes],
-                          sizes)
-        joining = np.repeat([batch.joining for batch in batches], sizes)
+        devices = batch.devices
+        self._heard_at[devices] = at
+        if batch.joining:
+            self._joined[devices] = True
         rows = np.arange(devices.size)
-        last = np.full(self._joined.size, -1)
-        np.maximum.at(last, devices, rows)
-        newest = np.full(self._joined.size, -1)   # newest round, then row
-        np.maximum.at(newest, devices, rounds * devices.size + rows)
-        heard = np.flatnonzero(last >= 0)
-        self._heard_at[heard] = times[last[heard]]
-        self._joined[devices[joining]] = True
-        winners = newest[heard] % devices.size
-        newer = rounds[winners] >= self._report_round[heard]
-        updated, winners = heard[newer], winners[newer]
-        self._report_at[updated] = times[winners]
-        self._report_round[updated] = rounds[winners]
-        self._report_rate[updated] = rates[winners]
+        np.maximum.at(self._last_row, devices, rows)
+        keep = (self._last_row[devices] == rows) \
+            & (batch.round >= self._report_round[devices])
+        self._last_row[devices] = -1
+        updated = devices[keep]
+        self._report_at[updated] = at
+        self._report_round[updated] = batch.round
+        self._report_rate[updated] = batch.offload_rates[keep]
 
     def _alive_mask(self, now: float) -> np.ndarray:
         timeout = self.config.liveness_timeout
@@ -447,16 +429,13 @@ class DecisionService:
         that to 400/413).
         """
         single = np.isscalar(devices)
-        ids = np.array(devices, dtype=np.int64, ndmin=1)
+        ids = self._device_ids(devices)
         if ids.size == 0:
             raise ValueError("empty device batch")
         if ids.size > self.config.max_batch:
             raise ValueError(
                 f"batch of {ids.size} exceeds max_batch="
                 f"{self.config.max_batch}")
-        if ids.min() < 0 or ids.max() >= self.population.size:
-            raise ValueError(
-                f"device ids must be in [0, {self.population.size})")
 
         # One consistent read of the coordinator's scalars; a concurrent
         # round update gives the next request the new γ̂, never a torn one.
@@ -489,13 +468,20 @@ class DecisionService:
     def leave(self, devices: Union[int, Iterable[int]]) -> int:
         return self._membership(devices, joining=False)
 
+    def _device_ids(self, devices) -> np.ndarray:
+        """``devices`` as an int64 column; :class:`ValueError` for any id
+        outside ``[0, N)``, including ints that int64 cannot hold."""
+        message = f"device ids must be in [0, {self.population.size})"
+        try:
+            ids = np.array(devices, dtype=np.int64, ndmin=1)
+        except OverflowError:
+            raise ValueError(message) from None
+        if ids.size and (ids.min() < 0 or ids.max() >= self.population.size):
+            raise ValueError(message)
+        return ids
+
     def _membership(self, devices, joining: bool) -> int:
-        ids = [int(d) for d in np.atleast_1d(
-            np.asarray(devices, dtype=np.int64))]
-        for device in ids:
-            if device < 0 or device >= self.population.size:
-                raise ValueError(
-                    f"device ids must be in [0, {self.population.size})")
+        ids = self._device_ids(devices).tolist()
         self.driver.submit(lambda: self._ingest_membership(ids, joining))
         self.registry.inc("serve.joins" if joining else "serve.leaves",
                           float(len(ids)))

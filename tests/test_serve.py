@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -33,6 +34,7 @@ from repro.population.sampler import sample_population
 from repro.population.scenarios import build_scenario
 from repro.serve import (
     AdmissionController,
+    Decisions,
     DecisionServer,
     DecisionService,
     ServeConfig,
@@ -90,6 +92,30 @@ def _old_payload(decisions):
     if decisions.single:
         payload.update(rows[0])
     return payload
+
+
+def _dumped(decisions) -> bytes:
+    """The ``/decide`` body ``json.dumps`` writes for ``decisions``."""
+    return (json.dumps(_old_payload(decisions)) + "\n").encode()
+
+
+def _post_body(url, document) -> bytes:
+    request = urllib.request.Request(url, data=json.dumps(document).encode())
+    with urllib.request.urlopen(request) as response:
+        return response.read()
+
+
+def _recording(service):
+    """Keep every :class:`Decisions` the service's ``decide`` returns."""
+    served = []
+    decide = service.decide
+
+    def recorded(devices, report=True):
+        served.append(decide(devices, report))
+        return served[-1]
+
+    service.decide = recorded
+    return served
 
 
 def _post(url, document):
@@ -302,6 +328,17 @@ class TestDecisionService:
             with pytest.raises(ValueError):
                 service.decide(list(range(9)))          # > max_batch
 
+    def test_ids_beyond_int64_are_out_of_range(self, population):
+        service = DecisionService(population)
+        for devices in (2 ** 63, [2 ** 63], -2 ** 70, [1, 2 ** 70]):
+            with pytest.raises(ValueError, match=r"must be in \[0, 64\)"):
+                service.decide(devices)
+        for devices in (2 ** 64, [2 ** 70]):
+            with pytest.raises(ValueError, match=r"must be in \[0, 64\)"):
+                service.join(devices)
+            with pytest.raises(ValueError, match=r"must be in \[0, 64\)"):
+                service.leave(devices)
+
     def test_decides_feed_membership_and_rounds(self, population):
         config = ServeConfig(round_period=0.02)
         with DecisionService(population, config) as service:
@@ -330,8 +367,7 @@ class TestDecisionEncoding:
         for variant in (decisions,
                         replace(decisions, stale=False, gamma=0.1 + 0.2,
                                 round=12)):
-            assert encode_decisions(variant) == \
-                (json.dumps(_old_payload(variant)) + "\n").encode()
+            assert encode_decisions(variant) == _dumped(variant)
 
 
 @pytest.mark.serve
@@ -368,6 +404,18 @@ class TestDecisionServer:
         assert _post(server.url + "/nope", {"device": 1})[0] == 404
         big = {"devices": list(range(100_001))}
         assert _post(server.url + "/decide", big)[0] == 413
+
+    def test_ids_beyond_int64_answer_400(self, server):
+        errors = server.service.registry.counter("serve.errors")
+        before = errors.value
+        for path, document in (
+                ("/decide", {"devices": [9223372036854775808]}),
+                ("/decide", {"device": -2 ** 70}),
+                ("/join", {"devices": [2 ** 70]})):
+            status, body, _ = _post(server.url + path, document)
+            assert status == 400 and "must be in" in body["error"]
+        assert errors.value == before + 3
+        assert _post(server.url + "/decide", {"device": 1})[0] == 200
 
     def test_decide_body_is_json_dumps_output(self, server):
         for document in ({"devices": [4, 0, 4, 63, 17]}, {"device": 9}):
@@ -430,6 +478,135 @@ class TestDecisionServer:
             assert status == 400
             live.service.admission.exit()
             assert _post(live.url + "/decide", {"device": 1})[0] == 200
+
+
+#: A γ̂ that moves some, not all, of the test population's thresholds
+#: away from their values at γ̂ = 0.
+GAMMA_MOVED = 0.3
+
+
+@pytest.mark.serve
+class TestRowCache:
+    """Bodies built from cached rows against ``json.dumps`` of the dict."""
+
+    @pytest.fixture()
+    def live(self, population):
+        # No round ends inside a test: γ̂ moves only when a test sets it.
+        config = ServeConfig(round_period=60.0)
+        with DecisionServer(DecisionService(population, config)) as server:
+            yield server, _recording(server.service)
+
+    @staticmethod
+    def _move(server, gamma: float) -> None:
+        server.service.coordinator.stepper.estimate = gamma
+
+    def test_same_devices_across_a_gamma_move(self, live, kernel):
+        server, served = live
+        ids = list(range(0, 64, 3))
+        moved = kernel.user_thresholds(np.array(ids), GAMMA_MOVED) \
+            != kernel.user_thresholds(np.array(ids), 0.0)
+        assert 0 < np.count_nonzero(moved) < len(ids)
+        for gamma in (0.0, 0.0, GAMMA_MOVED, GAMMA_MOVED, 0.0):
+            self._move(server, gamma)
+            body = _post_body(server.url + "/decide", {"devices": ids})
+            assert served[-1].gamma == gamma
+            assert body == _dumped(served[-1])
+
+    def test_duplicate_ids_in_one_batch(self, live):
+        server, served = live
+        for gamma in (0.0, 0.0, GAMMA_MOVED):
+            self._move(server, gamma)
+            body = _post_body(server.url + "/decide",
+                              {"devices": [5, 5, 9, 5, 9, 0]})
+            assert body == _dumped(served[-1])
+
+    def test_single_and_batch_queries_share_rows(self, live):
+        server, served = live
+        for gamma in (0.0, GAMMA_MOVED):
+            self._move(server, gamma)
+            for document in ({"devices": [11, 12, 13]}, {"device": 12},
+                             {"device": 20}, {"devices": [19, 20, 21]}):
+                body = _post_body(server.url + "/decide", document)
+                assert served[-1].single == ("device" in document)
+                assert body == _dumped(served[-1])
+
+    def test_rows_rendered_counts_moved_thresholds(self, live, kernel):
+        server, _ = live
+        rendered = server.service.registry.counter("serve.rows_rendered")
+        ids = np.arange(0, 64, 2)
+        document = {"devices": ids.tolist()}
+        _post_body(server.url + "/decide", document)
+        assert rendered.value == ids.size              # never served
+        _post_body(server.url + "/decide", document)
+        assert rendered.value == ids.size              # all cached
+        self._move(server, GAMMA_MOVED)
+        _post_body(server.url + "/decide", document)
+        moved = np.count_nonzero(kernel.user_thresholds(ids, GAMMA_MOVED)
+                                 != kernel.user_thresholds(ids, 0.0))
+        assert rendered.value == ids.size + moved
+        with urllib.request.urlopen(server.url + "/metrics") as response:
+            lines = response.read().decode().splitlines()
+        assert f"repro_serve_rows_rendered_total {ids.size + moved}.0" \
+            in lines
+        assert "repro_serve_decisions_total 96.0" in lines
+
+    def test_threads_share_rows_while_gamma_moves(self, population):
+        service = DecisionService(population)
+        server = DecisionServer(service)
+        gammas = (0.0, GAMMA_MOVED, 0.6, 0.9)
+        wrong, done = [], threading.Event()
+
+        def client(ids):
+            for _ in range(200):
+                decisions = service.decide(ids, report=False)
+                if server.encode(decisions) != _dumped(decisions):
+                    wrong.append(decisions.gamma)
+
+        def mover():
+            while not done.is_set():
+                for gamma in gammas:
+                    service.coordinator.stepper.estimate = gamma
+                    time.sleep(0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(ids,))
+                       for ids in (list(range(48)), list(range(16, 64)))]
+            moving = threading.Thread(target=mover)
+            moving.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            done.set()
+            moving.join(timeout=5.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + [moving])
+        assert not wrong
+        assert service.registry.counter("serve.rows_rendered").value > 64
+        # Every slot still holds the row of the threshold stored beside it.
+        for gamma in gammas:
+            service.coordinator.stepper.estimate = gamma
+            decisions = service.decide(list(range(64)), report=False)
+            assert server.encode(decisions) == _dumped(decisions)
+
+    def test_row_at_the_width_bound_is_whole(self, population):
+        service = DecisionService(population)
+        server = DecisionServer(service)
+        widest = (-2.2250738585072014e-308, -1.7976931348623157e+308)
+        assert [len(repr(value)) for value in widest] == [24, 24]
+        decisions = Decisions(
+            round=0, gamma=0.5, stale=False,
+            devices=np.array([population.size - 1]),
+            thresholds=np.array([service.kernel.stats.max_threshold]),
+            offload_probabilities=np.array(widest[:1]),
+            offload_rates=np.array(widest[1:]), single=True)
+        for _ in range(2):          # rendered, then read from its slot
+            assert server.encode(decisions) == _dumped(decisions)
+        row = json.dumps(_old_payload(decisions)["decisions"][0])
+        assert server._rows.dtype.itemsize == len(row)
 
 
 @pytest.mark.serve

@@ -2,16 +2,17 @@
 
 :class:`~repro.serve.service.ServingCoordinator` applies one
 :class:`~repro.net.messages.ReportBatch` per ``/decide`` request with
-vector ops.  The reference is the plain
+vector ops as it is delivered.  The reference is the plain
 :class:`~repro.net.actors.EdgeCoordinator` fed the same traffic as one
 ``JoinLeave`` (when the batch joins) plus one ``ThresholdReport`` per row,
-with membership starting empty as the daemon's does.  Scripts mix
-duplicate ids within a batch, stale and out-of-order rounds (two handler
-threads interleaving), leaves and re-joins between batches, and round
-ends at arbitrary points (the table folds each run of batches between
-them into one pass), with and without a liveness timeout and auto-join;
-the measured γ must agree to the bit and the heard/member counts
-exactly.
+with membership starting empty as the daemon's does.  Both get each
+message through the handler they registered with the transport, then
+drain: the reference's mailbox empties into its table, the serving
+table's mailbox is already empty.  Scripts mix duplicate ids within a
+batch, stale and out-of-order rounds (two handler threads interleaving),
+leaves and re-joins between batches, and round ends at arbitrary points,
+with and without a liveness timeout and auto-join; after every event the
+measured γ must agree to the bit and the heard/member counts exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.net.actors import EDGE_ADDRESS, EdgeCoordinator
 from repro.net.clock import Runtime
 from repro.net.messages import Envelope, JoinLeave, ReportBatch, \
     ThresholdReport
-from repro.net.transport import LocalTransport
 from repro.serve import ServeConfig, ServingCoordinator
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -45,16 +45,26 @@ membership = st.tuples(st.sampled_from(["join", "leave"]), QUARTERS,
 drain = st.tuples(st.just("drain"), st.just(0.0))
 
 
+class _Wire:
+    """A transport that keeps the handler each address registers."""
+
+    def __init__(self):
+        self.handlers = {}
+
+    def register(self, address, handler) -> None:
+        self.handlers[address] = handler
+
+
 def _coordinator(cls, config):
-    runtime = Runtime()
-    return cls(runtime=runtime, transport=LocalTransport(runtime),
+    return cls(runtime=Runtime(), transport=_Wire(),
                devices=range(N_DEVICES), capacity=CAPACITY, config=config)
 
 
 def _deliver(coordinator, message, at: float) -> None:
-    coordinator.mailbox.put(Envelope(seq=0, src=0, dst=EDGE_ADDRESS,
-                                     sent_at=at, delivered_at=at,
-                                     message=message))
+    coordinator.transport.handlers[EDGE_ADDRESS](Envelope(
+        seq=0, src=0, dst=EDGE_ADDRESS, sent_at=at, delivered_at=at,
+        message=message))
+    coordinator._drain()
 
 
 def _bits(value):
@@ -103,11 +113,12 @@ def test_columnar_table_matches_per_message_table(
         elif kind == "drain":
             table._drain()
             reference._drain()
-            _assert_agree(table, reference, now, current_round)
         else:
             message = JoinLeave(rest[0], kind == "join")
             _deliver(table, message, now)
             _deliver(reference, message, now)
+        _assert_agree(table, reference, now, current_round)
     table._drain()
     reference._drain()
     _assert_agree(table, reference, now, current_round)
+    assert len(table.mailbox) == 0
