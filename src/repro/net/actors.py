@@ -15,7 +15,7 @@ reports at all — triggers graceful degradation: γ̂ is held, the step size
 decays, and the next broadcast backs off exponentially, so a partitioned
 edge neither diverges nor spins.
 
-A stationary device reads its row of one batched kernel probe per
+A stationary device reads its row of one bracketed fleet probe per
 estimate (:class:`FleetResponses`), bit-identical to the vectorised
 :class:`repro.core.meanfield.MeanFieldMap` path, which is what lets the
 fault-free synchronous run reproduce ``run_dtu`` trajectories exactly
@@ -52,35 +52,59 @@ EDGE_ADDRESS = "edge"
 
 
 class FleetResponses:
-    """A fleet's Lemma-1 responses on one compiled kernel, one batched
+    """A fleet's Lemma-1 responses on one compiled kernel, one bracketed
     probe per broadcast estimate.
 
-    The first device to hear an estimate probes the whole fleet
-    (``user_thresholds`` + ``user_alphas``, bit-identical per row to
-    ``user_threshold``/``user_alpha``); every device reads its row.  The
-    last :attr:`KEEP` estimates are kept: jitter delivers a round's
-    broadcast after the next round's, not many rounds late, and an
-    evicted answer is only recomputed.
+    The first reader of an estimate answers the whole fleet through one
+    :class:`~repro.core.kernels.ProbeState`: ``thresholds(γ, probe=)``
+    and the state's α column, bit-identical per row to
+    ``user_threshold``/``user_alpha``.  A new estimate therefore
+    re-searches only the users whose threshold can still move between
+    the nearest estimates probed before.  :meth:`columns` hands the
+    answer out as read-only arrays (the serving daemon publishes them
+    once a round); :meth:`row` reads one device's entry from lists built
+    on the first row read (net devices read rows).  The last :attr:`KEEP`
+    estimates are kept: jitter delivers a round's broadcast after the
+    next round's, not many rounds late, and an evicted answer is only
+    recomputed.
     """
 
     KEEP = 4
 
     def __init__(self, kernel: CompiledMeanField):
         self.kernel = kernel
-        self._fleet = np.arange(kernel.population.size)
-        self._answers: Dict[float, Tuple[List[float], List[float]]] = {}
+        self._probe = kernel.probe_state()
+        #: estimate -> [threshold column, α column, rows or None]
+        self._answers: Dict[float, list] = {}
+
+    def _answer(self, estimate: float) -> list:
+        """The kept answer at ``estimate``, probed on first use."""
+        answer = self._answers.get(estimate)
+        if answer is None:
+            thresholds = self.kernel.thresholds(estimate, probe=self._probe)
+            alpha = self._probe.alpha.copy()
+            thresholds.flags.writeable = alpha.flags.writeable = False
+            answer = [thresholds, alpha, None]
+            if len(self._answers) == self.KEEP:     # drop the oldest
+                del self._answers[next(iter(self._answers))]
+            self._answers[estimate] = answer
+        return answer
+
+    def columns(self, estimate: float) -> Tuple[np.ndarray, np.ndarray]:
+        """The fleet's threshold (int64) and α columns at ``estimate``,
+        read-only and in device order."""
+        thresholds, alpha, _ = self._answer(estimate)
+        return thresholds, alpha
 
     def row(self, index: int, estimate: float) -> Tuple[float, float]:
         """Device ``index``'s ``(threshold, α)`` at broadcast ``estimate``."""
         answer = self._answers.get(estimate)
-        if answer is None:
-            levels = self.kernel.user_thresholds(self._fleet, estimate)
-            answer = (levels.astype(float).tolist(),
-                      self.kernel.user_alphas(self._fleet, levels).tolist())
-            if len(self._answers) == self.KEEP:     # drop the oldest
-                del self._answers[next(iter(self._answers))]
-            self._answers[estimate] = answer
-        return answer[0][index], answer[1][index]
+        if answer is None or answer[2] is None:
+            answer = self._answer(estimate)
+            answer[2] = (answer[0].astype(float).tolist(),
+                         answer[1].tolist())
+        thresholds, alphas = answer[2]
+        return thresholds[index], alphas[index]
 
 
 class DeviceAgent:

@@ -175,7 +175,7 @@ def build_devices(
     ``kernel`` (a :class:`repro.core.kernels.CompiledMeanField` built for
     ``population`` + ``delay_model``, checked by
     :func:`~repro.core.kernels.check_kernel`) is shared by the whole
-    fleet: each broadcast estimate is answered by one batched probe into
+    fleet: each broadcast estimate is answered by one bracketed probe into
     the precompiled staircase (:class:`~repro.net.actors.FleetResponses`),
     and each agent reads its row. Without one the agents run the scalar
     staircase search — the path for modulated fleets.

@@ -11,9 +11,9 @@ serving threshold decisions over HTTP:
   :class:`~repro.net.actors.EdgeCoordinator` coroutine runs unmodified
   as a daemon;
 * :class:`~repro.serve.service.DecisionService` — the coordinator +
-  compiled kernel pair behind a thread-safe facade: batched ``decide``
-  queries answered by one vectorised probe as column arrays
-  (:class:`~repro.serve.service.Decisions`) and reported to the
+  compiled kernel pair behind a thread-safe facade: ``decide`` queries
+  answered as column arrays (:class:`~repro.serve.service.Decisions`)
+  from the fleet answer each round publishes, and reported to the
   coordinator as one message, ``join``/``leave`` mapped
   onto the :class:`~repro.net.messages.JoinLeave` protocol messages,
   admission control past a queue-depth watermark;

@@ -8,9 +8,10 @@ way :class:`repro.obs.serve.MetricsServer` exposes a registry:
 method    path        behaviour
 ========  ==========  ====================================================
 POST      /decide     thresholds for ``{"device": i}`` or
-                      ``{"devices": [...]}`` at the current γ̂ — a batch
-                      costs one vectorised kernel probe; sheds with
-                      **503 + Retry-After** past the admission watermark
+                      ``{"devices": [...]}`` at the current γ̂ — rows of
+                      the round's published fleet answer, no kernel
+                      probe; sheds with **503 + Retry-After** past the
+                      admission watermark
 POST      /join       membership announcement (JoinLeave protocol message)
 POST      /leave      ditto, leaving
 GET       /state      γ̂, η, round, membership, load, shed counters
@@ -18,13 +19,14 @@ GET       /healthz    200 while the coordinator loop is alive, 503 after
 GET       /metrics    Prometheus text exposition of the serve registry
 ========  ==========  ====================================================
 
-Errors map onto plain HTTP: malformed JSON, unknown device ids or a
-``Content-Length`` that is not a byte count → 400, oversized batches or
-bodies → 413, shed load → 503 with ``Retry-After`` set to one round
-period.  A request body is never read past the size ``max_batch`` devices
-can take; a body left unread closes the connection.  Every response is
-JSON (except ``/metrics``) and carries ``Content-Length``, so HTTP/1.1
-keep-alive works and a replay client can reuse one connection per worker.
+Errors map onto plain HTTP: malformed JSON (nesting too deep for the
+decoder included), unknown device ids or a ``Content-Length`` that is
+not a byte count → 400, oversized batches or bodies → 413, shed load →
+503 with ``Retry-After`` set to one round period.  A request body is
+never read past the size ``max_batch`` devices can take; a body left
+unread closes the connection.  Every response is JSON (except
+``/metrics``) and carries ``Content-Length``, so HTTP/1.1 keep-alive
+works and a replay client can reuse one connection per worker.
 
 The ``/decide`` body is rendered from the service's
 :class:`~repro.serve.service.Decisions` columns by one row template
@@ -222,15 +224,17 @@ class _Handler(QuietHandler):
 
     @staticmethod
     def _extract_devices(body: dict):
-        """``device: int`` | ``devices: [int, ...]`` → ids, else None."""
+        """``device: int`` | ``devices: [int, ...]`` → ids, else None.
+
+        A JSON integer decodes to exactly ``int`` (``true`` is a
+        ``bool``), so one C-level pass over the id types checks a batch.
+        """
         if "device" in body:
             device = body["device"]
-            return device if isinstance(device, int) \
-                and not isinstance(device, bool) else None
+            return device if type(device) is int else None
         devices = body.get("devices")
-        if not isinstance(devices, list) or not devices or not all(
-                isinstance(d, int) and not isinstance(d, bool)
-                for d in devices):
+        if not isinstance(devices, list) \
+                or set(map(type, devices)) != {int}:
             return None
         return devices
 

@@ -4,15 +4,16 @@
 (HTTP surface, replay client, tests) talks to.  It owns
 
 * one :class:`~repro.core.kernels.CompiledMeanField` for the provisioned
-  population — a batch of B ``decide`` queries costs **one** vectorised
-  probe (:meth:`~repro.core.kernels.CompiledMeanField.user_thresholds`),
-  not B scalar staircase searches;
+  population, answered through one
+  :class:`~repro.net.actors.FleetResponses`: the whole fleet once per
+  broadcast estimate, by a bracketed probe;
 * one :class:`ServingCoordinator` — the :mod:`repro.net` edge actor
   running *unmodified protocol logic* on a
   :class:`~repro.serve.wallclock.WallClockDriver`: re-estimation rounds
   on a wall-clock period, report windows from real arrivals, the shared
   Eq. 4 :class:`~repro.core.dtu.DtuStepper`, graceful degradation on
-  silent rounds;
+  silent rounds.  Each round's broadcast publishes the fleet's answer at
+  the new γ̂ (:class:`FleetAnswer`);
 * an :class:`AdmissionController` — a bounded in-flight watermark so
   overload sheds (the HTTP layer answers 503 + ``Retry-After``) instead
   of collapsing latency;
@@ -20,6 +21,17 @@
   decision arrivals against a nominal capacity (the ``load`` gauge in
   ``/state``), exercised here on irregular wall-clock windows rather
   than the lockstep virtual clock.
+
+**The published answer.**  At each broadcast (and once at construction)
+the loop thread answers the provisioned fleet at the new γ̂ and
+publishes one immutable :class:`FleetAnswer` — round, γ̂, the threshold
+column and the α column — by a single reference assignment.  ``decide``
+reads that reference once and gathers its B rows: no kernel probe, no
+lock on the request path, and a response's round, γ and rows always
+come from the same record.  A round whose γ̂ did not move (silent rounds
+hold it) reuses the columns.  ``serve.fleet_answers`` and
+``serve.fleet_answer_seconds`` on ``/metrics`` count the records and
+time their computation.
 
 Every ``decide`` answers with columns (:class:`Decisions`) and doubles
 as one :class:`~repro.net.messages.ReportBatch` to the coordinator
@@ -53,7 +65,7 @@ from repro.core.kernels import (
     check_kernel,
     compile_mean_field,
 )
-from repro.net.actors import EDGE_ADDRESS, EdgeCoordinator
+from repro.net.actors import EDGE_ADDRESS, EdgeCoordinator, FleetResponses
 from repro.net.messages import JoinLeave, ReportBatch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ObsRecorder, Recorder
@@ -154,14 +166,32 @@ class ServeConfig:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class FleetAnswer:
+    """One round's answer for the whole provisioned fleet.
+
+    Row ``d`` of ``thresholds`` (int64) and ``alpha`` is device ``d``'s
+    Lemma-1 threshold and offload probability at ``gamma``, the γ̂
+    broadcast in ``round``; both columns are read-only.
+    """
+
+    round: int
+    gamma: float
+    thresholds: np.ndarray
+    alpha: np.ndarray
+
+
 class ServingCoordinator(EdgeCoordinator):
     """The edge actor adapted to the pull-model daemon.
 
     Three deviations from the virtual-time coordinator:
 
     * **broadcast publishes, it does not push** — HTTP clients pull γ̂
-      via ``/decide``, so a round opens (round counter + span) without
-      fanning N messages out to mailboxes that don't exist;
+      via ``/decide``, so a round opens (round counter + span) and
+      publishes the fleet's answer at γ̂ from ``responses``
+      (:attr:`published`, a :class:`FleetAnswer`; one is published at
+      construction too) without fanning N messages out to mailboxes that
+      don't exist;
     * **membership starts empty** — the provisioned fleet joins
       explicitly (or implicitly on first decide);
     * **the report table is columnar and fed on arrival** — one slot per
@@ -180,12 +210,13 @@ class ServingCoordinator(EdgeCoordinator):
     untouched; the inherited drain finds the mailbox empty.
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, responses: FleetResponses, **kwargs):
         super().__init__(*args, **kwargs)
         n = len(self.known)
         if self.known != list(range(n)):
             raise ValueError("the serving table is indexed by device id: "
                              "devices must be 0..N-1")
+        self.responses = responses
         self._joined = np.zeros(n, dtype=bool)
         self._heard_at = np.zeros(n)
         self._report_at = np.zeros(n)
@@ -196,9 +227,19 @@ class ServingCoordinator(EdgeCoordinator):
         self.last_round_ended = 0.0
         self.last_round_status = "init"
         self.rounds_completed = 0
+        self._publish()
+
+    def _publish(self) -> None:
+        """Answer the fleet at the current γ̂ and publish it with the round."""
+        estimate = self.stepper.estimate
+        with self._obs.timer("serve.fleet_answer_seconds"):
+            thresholds, alpha = self.responses.columns(estimate)
+        self.published = FleetAnswer(self.round, estimate, thresholds, alpha)
+        self._obs.count("serve.fleet_answers")
 
     def _broadcast(self) -> None:
         self.round += 1
+        self._publish()
         if self._obs.enabled:
             self._round_span = self._obs.span_start(
                 "coordinator.broadcast", trace=self.round,
@@ -335,8 +376,9 @@ class DecisionService:
 
     Thread model: the coordinator runs on the driver's loop thread;
     ``decide``/``join``/``leave``/``state`` are called from arbitrary
-    threads and only *read* actor state (plain floats/ints, GIL-atomic)
-    — every write is marshalled to the loop thread as real protocol
+    threads and only *read* actor state (the published
+    :class:`FleetAnswer` reference and plain floats/ints, GIL-atomic) —
+    every write is marshalled to the loop thread as real protocol
     messages.
     """
 
@@ -372,6 +414,7 @@ class DecisionService:
             capacity=population.capacity,
             config=self.config.protocol(),
             recorder=self._obs,
+            responses=FleetResponses(self.kernel),
         )
         self.admission = AdmissionController(self.config.watermark)
         self.load = WindowedRateEstimator(
@@ -420,8 +463,10 @@ class DecisionService:
 
     def decide(self, devices: Union[int, Sequence[int]],
                report: bool = True) -> Decisions:
-        """Thresholds for a device batch at the current γ̂ — one probe.
+        """Thresholds for a device batch from the published fleet answer.
 
+        One read of :attr:`ServingCoordinator.published` and a gather of
+        the batch's rows: round, γ̂ and rows come from the same record.
         ``report=True`` (the default) also feeds the decisions back to the
         coordinator as one :class:`ReportBatch`, so served traffic *is*
         the measurement population.  Raises :class:`ValueError` for
@@ -437,16 +482,15 @@ class DecisionService:
                 f"batch of {ids.size} exceeds max_batch="
                 f"{self.config.max_batch}")
 
-        # One consistent read of the coordinator's scalars; a concurrent
-        # round update gives the next request the new γ̂, never a torn one.
-        gamma = self.coordinator.stepper.estimate
-        round_number = self.coordinator.round
-        thresholds = self.kernel.user_thresholds(ids, gamma)
-        alphas = self.kernel.user_alphas(ids, thresholds)
+        # One read of the published record; a concurrent broadcast gives
+        # the next request the new round, never a torn one.
+        answer = self.coordinator.published
+        thresholds = answer.thresholds[ids]
+        alphas = answer.alpha[ids]
         rates = self.population.arrival_rates[ids] * alphas
 
         if report:
-            batch = ReportBatch(ids, round_number, thresholds, rates,
+            batch = ReportBatch(ids, answer.round, thresholds, rates,
                                 joining=self.config.auto_join)
             self.driver.submit(lambda: self.transport.send(
                 SERVICE_ADDRESS, EDGE_ADDRESS, batch))
@@ -456,7 +500,8 @@ class DecisionService:
         self.registry.inc("serve.requests")
         self.registry.inc("serve.decisions", float(ids.size))
         self.registry.observe("serve.batch_size", float(ids.size))
-        return Decisions(round=round_number, gamma=gamma, stale=self.stale,
+        return Decisions(round=answer.round, gamma=answer.gamma,
+                         stale=self.stale,
                          devices=ids, thresholds=thresholds,
                          offload_probabilities=alphas, offload_rates=rates,
                          single=single)

@@ -113,13 +113,17 @@ class QuietHandler(BaseHTTPRequestHandler):
     def read_json_body(self, length: int) -> dict:
         """The ``length``-byte body as a JSON object (``{}`` when empty).
 
-        Raises :class:`ValueError` on malformed JSON or a non-object
-        payload, which routing code maps to a 400.
+        Raises :class:`ValueError` on malformed JSON — nesting too deep
+        for the decoder included — or a non-object payload, which routing
+        code maps to a 400.
         """
         if length == 0:
             return {}
         raw = self.rfile.read(length)
-        document = json.loads(raw.decode("utf-8"))
+        try:
+            document = json.loads(raw.decode("utf-8"))
+        except RecursionError:
+            raise ValueError("request body nests too deeply") from None
         if not isinstance(document, dict):
             raise ValueError("request body must be a JSON object")
         return document

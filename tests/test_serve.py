@@ -3,8 +3,10 @@
 Three contracts pin :mod:`repro.serve` to the rest of the repo:
 
 * the batched kernel probe answers **bit-identically** to the scalar
-  staircase search (``user_thresholds`` vs ``user_threshold``), so a
-  served decision equals what the solver computes for the same γ̂;
+  staircase search (``user_thresholds`` vs ``user_threshold``), and
+  every fleet answer the coordinator publishes equals it over the whole
+  fleet, so a served decision equals what the solver computes for the
+  same γ̂;
 * a fault-free serving session over a frozen population reproduces the
   offline :func:`repro.core.dtu.run_dtu` fixed point (the integration
   test at the bottom);
@@ -28,7 +30,7 @@ import pytest
 
 from repro.core.dtu import DtuConfig, run_dtu
 from repro.core.edge_delay import PAPER_DELAY_MODEL, ReciprocalDelay
-from repro.core.kernels import compile_mean_field
+from repro.core.kernels import CompiledMeanField, compile_mean_field
 from repro.core.meanfield import MeanFieldMap
 from repro.population.sampler import sample_population
 from repro.population.scenarios import build_scenario
@@ -116,6 +118,37 @@ def _recording(service):
 
     service.decide = recorded
     return served
+
+
+def _publish_gamma(service, gamma: float) -> None:
+    """Move γ̂ to ``gamma`` and publish it, as a round's broadcast does —
+    on the loop thread while the service runs."""
+    coordinator = service.coordinator
+
+    def broadcast():
+        coordinator.stepper.estimate = gamma
+        coordinator._broadcast()
+
+    if not service._started:
+        broadcast()
+        return
+    done = threading.Event()
+    service.driver.submit(lambda: (broadcast(), done.set()))
+    assert done.wait(10.0)
+
+
+def _deep_body() -> bytes:
+    """A 200 kB ``/decide`` body nested past the JSON decoder's depth."""
+    return b'{"devices": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+
+
+def _post_raw(url, body: bytes):
+    request = urllib.request.Request(url, data=body)
+    try:
+        with urllib.request.urlopen(request) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
 
 
 def _post(url, document):
@@ -355,6 +388,81 @@ class TestDecisionService:
         assert not service.healthy                      # stopped
 
 
+@pytest.mark.serve
+class TestPublishedAnswer:
+    """``decide`` reads the round's published fleet answer."""
+
+    def test_decide_answers_the_published_round(self, population, kernel):
+        # Never started: the report batch's delivery runs here.
+        service = DecisionService(population, ServeConfig())
+        submitted = []
+        service.driver.submit = submitted.append
+        coordinator = service.coordinator
+        coordinator._broadcast()                # round 1 publishes γ̂ = 0
+        coordinator.stepper.update(0.9)         # γ̂ moves before round 2
+        assert coordinator.stepper.estimate != 0.0
+        ids = np.arange(population.size)
+        decisions = service.decide(ids)
+        assert (decisions.round, decisions.gamma) == (1, 0.0)
+        thresholds = kernel.user_thresholds(ids, 0.0)
+        np.testing.assert_array_equal(decisions.thresholds, thresholds)
+        np.testing.assert_array_equal(decisions.offload_probabilities,
+                                      kernel.user_alphas(ids, thresholds))
+        for action in submitted:
+            action()
+        assert set(coordinator._report_round.tolist()) == {1}
+
+    def test_every_published_answer_matches_the_kernel(self, population,
+                                                        kernel):
+        service = DecisionService(population, ServeConfig(round_period=0.02))
+        coordinator = service.coordinator
+        published = [coordinator.published]
+        publish = coordinator._publish
+
+        def recorded():
+            publish()
+            published.append(coordinator.published)
+
+        coordinator._publish = recorded
+        ids = np.arange(population.size)
+        with service:
+            deadline = time.monotonic() + 30.0
+            while coordinator.iterations < 4 \
+                    and time.monotonic() < deadline:
+                service.decide(ids)
+                time.sleep(0.005)
+        assert [answer.round for answer in published] \
+            == list(range(len(published)))
+        assert len({answer.gamma for answer in published}) > 2
+        for answer in published:
+            thresholds = kernel.user_thresholds(ids, answer.gamma)
+            assert answer.thresholds.dtype == thresholds.dtype
+            np.testing.assert_array_equal(answer.thresholds, thresholds)
+            assert answer.alpha.tobytes() \
+                == kernel.user_alphas(ids, thresholds).tobytes()
+            assert not answer.thresholds.flags.writeable
+            assert not answer.alpha.flags.writeable
+
+    def test_decide_probes_nothing(self, population, monkeypatch):
+        calls = []
+        for name in ("user_thresholds", "user_alphas", "thresholds"):
+            original = getattr(CompiledMeanField, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(CompiledMeanField, name, counted)
+        service = DecisionService(population)
+        assert calls == ["thresholds"]          # the round-0 answer
+        calls.clear()
+        service.driver.submit = lambda action: None
+        for devices in (7, [0, 5, 9], list(range(64))):
+            service.decide(devices)
+            service.decide(devices, report=False)
+        assert calls == []
+
+
 class TestDecisionEncoding:
     """``encode_decisions`` against ``json.dumps`` of the dict document."""
 
@@ -404,6 +512,21 @@ class TestDecisionServer:
         assert _post(server.url + "/nope", {"device": 1})[0] == 404
         big = {"devices": list(range(100_001))}
         assert _post(server.url + "/decide", big)[0] == 413
+        for path in ("/decide", "/join"):
+            for devices in ([1, True], [1, 2.0], [1, "2"], [1, None],
+                            [1, [2]]):
+                assert _post(server.url + path,
+                             {"devices": devices})[0] == 400
+
+    @pytest.mark.parametrize("path", ["/decide", "/join", "/leave"])
+    def test_nesting_past_the_decoder_answers_400(self, server, path):
+        errors = server.service.registry.counter("serve.errors")
+        before = errors.value
+        status, body = _post_raw(server.url + path, _deep_body())
+        assert status == 400 and "nests too deeply" in body["error"]
+        assert errors.value == before + 1
+        # The next request, on a new connection, is served.
+        assert _post(server.url + "/decide", {"device": 1})[0] == 200
 
     def test_ids_beyond_int64_answer_400(self, server):
         errors = server.service.registry.counter("serve.errors")
@@ -448,6 +571,20 @@ class TestDecisionServer:
             text = response.read().decode()
         assert "repro_serve_decisions_total" in text
         assert "repro_serve_gamma_hat" in text
+
+    def test_metrics_count_and_time_published_answers(self, population):
+        # No round ends inside the test: only the publishes below count.
+        config = ServeConfig(round_period=60.0)
+        with DecisionServer(DecisionService(population, config)) as live:
+            _publish_gamma(live.service, GAMMA_MOVED)
+            with urllib.request.urlopen(live.url + "/metrics") as response:
+                lines = response.read().decode().splitlines()
+        # Construction, round 1's broadcast, and the γ̂ move.
+        assert "repro_serve_fleet_answers_total 3.0" in lines
+        assert "repro_serve_fleet_answer_seconds_count 3.0" in lines
+        total = next(line for line in lines if line.startswith(
+            "repro_serve_fleet_answer_seconds_sum "))
+        assert float(total.split()[1]) > 0.0
 
     def test_overload_sheds_with_retry_after(self, population):
         config = ServeConfig(round_period=0.05, watermark=2)
@@ -498,7 +635,7 @@ class TestRowCache:
 
     @staticmethod
     def _move(server, gamma: float) -> None:
-        server.service.coordinator.stepper.estimate = gamma
+        _publish_gamma(server.service, gamma)
 
     def test_same_devices_across_a_gamma_move(self, live, kernel):
         server, served = live
@@ -565,7 +702,7 @@ class TestRowCache:
         def mover():
             while not done.is_set():
                 for gamma in gammas:
-                    service.coordinator.stepper.estimate = gamma
+                    _publish_gamma(service, gamma)
                     time.sleep(0)
 
         interval = sys.getswitchinterval()
@@ -588,7 +725,7 @@ class TestRowCache:
         assert service.registry.counter("serve.rows_rendered").value > 64
         # Every slot still holds the row of the threshold stored beside it.
         for gamma in gammas:
-            service.coordinator.stepper.estimate = gamma
+            _publish_gamma(service, gamma)
             decisions = service.decide(list(range(64)), report=False)
             assert server.encode(decisions) == _dumped(decisions)
 

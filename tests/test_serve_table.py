@@ -19,10 +19,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.actors import EDGE_ADDRESS, EdgeCoordinator
+from repro.core.edge_delay import PAPER_DELAY_MODEL
+from repro.core.kernels import compile_mean_field
+from repro.net.actors import EDGE_ADDRESS, EdgeCoordinator, FleetResponses
 from repro.net.clock import Runtime
 from repro.net.messages import Envelope, JoinLeave, ReportBatch, \
     ThresholdReport
+from repro.population.sampler import sample_population
+from repro.population.scenarios import build_scenario
 from repro.serve import ServeConfig, ServingCoordinator
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -30,6 +34,10 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 N_DEVICES = 6
 CAPACITY = 3.0
+#: The fleet's kernel: the serving coordinator publishes its answers.
+KERNEL = compile_mean_field(
+    sample_population(build_scenario("paper-theoretical"), N_DEVICES, rng=0),
+    PAPER_DELAY_MODEL)
 #: Times and windows on a quarter grid, so report ages land exactly on
 #: the window and timeout boundaries.
 QUARTERS = st.integers(min_value=0, max_value=8).map(lambda q: q / 4.0)
@@ -56,8 +64,11 @@ class _Wire:
 
 
 def _coordinator(cls, config):
+    extra = {"responses": FleetResponses(KERNEL)} \
+        if cls is ServingCoordinator else {}
     return cls(runtime=Runtime(), transport=_Wire(),
-               devices=range(N_DEVICES), capacity=CAPACITY, config=config)
+               devices=range(N_DEVICES), capacity=CAPACITY, config=config,
+               **extra)
 
 
 def _deliver(coordinator, message, at: float) -> None:
