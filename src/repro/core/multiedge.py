@@ -195,33 +195,21 @@ class MultiEdgeSystem:
 
     # -- compiled kernels --------------------------------------------------
 
-    def compile(self, share_memory: bool = False) -> "MultiEdgeSystem":
+    def compile(self) -> "MultiEdgeSystem":
         """Build the envelope base kernel and the shared-table site kernels.
 
-        The constructor runs this; later calls return ``self`` unchanged
-        unless they ask for shared memory the kernels lack. One full
-        ``O(N·m_max)`` build (the envelope deployment, whose per-user
-        latency ``max_j (τ_{ij} + g_j(1))`` dominates every site's
-        reachable comparison value) plus ``m`` O(N) shares.
-
-        ``share_memory=True`` moves the base kernel's tables into POSIX
-        shared memory *before* the site kernels borrow them, so all ``m``
-        site kernels reference one table image and pickle by handle —
-        process workers evaluating site responses reattach instead of
-        copying the tables per task. Existing borrowers hold plain-array
-        references, so asking for it later rebuilds (still one full build
-        + m shares). Probed floats are bit-identical either way.
+        The constructor runs this; later calls return ``self`` unchanged.
+        One full ``O(N·m_max)`` build (the envelope deployment, whose
+        per-user latency ``max_j (τ_{ij} + g_j(1))`` dominates every
+        site's reachable comparison value) plus ``m`` O(N) shares.
         """
-        if self.kernels and (not share_memory
-                             or self.base_kernel.shared_memory_name):
+        if self.kernels:
             return self
         g_at_one = np.array([site.delay_model(1.0) for site in self.sites])
         envelope = (self.latencies + g_at_one[None, :]).max(axis=1)
         self.base_kernel = CompiledMeanField(
             _shadow_population(self.population, envelope),
             LinearDelay(0.0, 0.0))
-        if share_memory:
-            self.base_kernel.share_memory()
         self.kernels = [
             CompiledMeanField.with_shared_tables(
                 self.base_kernel,

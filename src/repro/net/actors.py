@@ -13,7 +13,12 @@ received within a sliding window, and applies the shared Eq. 4 sign step
 (:class:`repro.core.dtu.DtuStepper`).  Silence — a round with no usable
 reports at all — triggers graceful degradation: γ̂ is held, the step size
 decays, and the next broadcast backs off exponentially, so a partitioned
-edge neither diverges nor spins.
+edge neither diverges nor spins.  Its report table, columns over the
+fleet's device ids, is the only one: the sharded
+:class:`~repro.net.sharded.SiteCoordinator` and the serving daemon's
+:class:`~repro.serve.service.ServingCoordinator` write the same table
+(the daemon adds a batch path) and measure with the same masked
+reductions.
 
 A stationary device reads its row of one bracketed fleet probe per
 estimate (:class:`FleetResponses`), bit-identical to the vectorised
@@ -26,6 +31,7 @@ kernel tabulates, runs the same arithmetic as a scalar staircase search
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -311,6 +317,26 @@ class EdgeCoordinator:
     ``config`` is a :class:`repro.net.protocol.NetConfig`; only its plain
     attributes are read, so the coordinator stays import-independent of
     the high-level runner module.
+
+    ``devices`` are the provisioned ids; :attr:`known` keeps them sorted,
+    the broadcast order, and a join of any other id inserts it.  The
+    report table spans ids ``0..fleet_size-1`` (default: one past the
+    largest provisioned id) as columns: a known mask (provisioned or ever
+    joined), a member mask (known and not left), the last-heard time
+    (0.0 before first contact), and the stored report's time, round
+    (−1: none) and rate.  Provisioned devices start as members unless
+    ``joined`` is false.  Each message is a few scalar writes under
+    these rules:
+
+    * the newest round wins, and a tie goes to the later message;
+    * a leave clears the device's report;
+    * a device is live while it was last heard within
+      ``liveness_timeout``;
+    * an answer to the current round is never stale; an older one must
+      lie inside ``report_window``.
+
+    A round's measurement, census and member list are masked reductions
+    over the table.
     """
 
     def __init__(
@@ -322,10 +348,21 @@ class EdgeCoordinator:
         config,
         recorder: Optional[Recorder] = None,
         address: str = EDGE_ADDRESS,
+        fleet_size: Optional[int] = None,
+        joined: bool = True,
     ):
         self.runtime = runtime
         self.transport = transport
-        self.known = sorted(devices)         # provisioned fleet
+        self.known = sorted(devices)
+        if fleet_size is None:
+            fleet_size = self.known[-1] + 1 if self.known else 0
+        self._known = np.zeros(fleet_size, dtype=bool)
+        self._known[self.known] = True
+        self._member = self._known & joined
+        self._heard_at = np.zeros(fleet_size)
+        self._report_at = np.zeros(fleet_size)
+        self._report_round = np.full(fleet_size, -1, dtype=np.int64)
+        self._report_rate = np.zeros(fleet_size)
         self.capacity = float(capacity)
         self.config = config
         self.address = address
@@ -337,10 +374,6 @@ class EdgeCoordinator:
             initial_estimate=config.initial_estimate,
         )
         self._obs = resolve_recorder(recorder)
-        self._left: set = set()
-        self._last_heard: Dict[int, float] = {}
-        #: device -> (delivered_at, round, offload_rate)
-        self._reports: Dict[int, Tuple[float, int, float]] = {}
         self.trace = NetTrace()
         self.round = 0               # broadcast sequence number
         self._round_span: Optional[int] = None
@@ -455,73 +488,60 @@ class EdgeCoordinator:
                 )
                 self._obs.span_end(span,
                                    virtual_time=envelope.delivered_at)
-            self._last_heard[message.device] = envelope.delivered_at
-            stored = self._reports.get(message.device)
-            if stored is None or message.round >= stored[1]:
-                self._reports[message.device] = (
-                    envelope.delivered_at, message.round,
-                    message.offload_rate,
-                )
+            device = message.device
+            self._heard_at[device] = envelope.delivered_at
+            if message.round >= self._report_round[device]:
+                self._report_at[device] = envelope.delivered_at
+                self._report_round[device] = message.round
+                self._report_rate[device] = message.offload_rate
         elif isinstance(message, Heartbeat):
-            self._last_heard[message.device] = envelope.delivered_at
+            self._heard_at[message.device] = envelope.delivered_at
         elif isinstance(message, JoinLeave):
-            self._last_heard[message.device] = envelope.delivered_at
+            device = message.device
+            self._heard_at[device] = envelope.delivered_at
             if message.joining:
-                self._left.discard(message.device)
-                self._on_join(message.device)
+                if not self._known[device]:   # not provisioned: a migrant
+                    self._known[device] = True
+                    insort(self.known, device)
+                self._member[device] = True
             else:
-                self._left.add(message.device)
-                self._reports.pop(message.device, None)
+                self._member[device] = False
+                self._report_round[device] = -1
 
-    def _on_join(self, device: int) -> None:
-        """Hook: a device announced itself. The static single-site fleet
-        is fully provisioned up front, so there is nothing to do; dynamic
-        (sharded) memberships insert newcomers here."""
-
-    def _alive(self, device: int, now: float) -> bool:
-        if device in self._left:
-            return False
+    def _live(self, now: float) -> np.ndarray:
+        """The member mask, less devices silent past the liveness timeout."""
         timeout = self.config.liveness_timeout
         if timeout is None:
-            return True
-        return now - self._last_heard.get(device, 0.0) <= timeout
+            return self._member
+        return self._member & (now - self._heard_at <= timeout)
 
     def members(self, now: float) -> List[int]:
-        """Devices currently considered part of the fleet."""
-        return [device for device in self.known if self._alive(device, now)]
+        """Devices currently considered part of the fleet, in id order."""
+        return np.flatnonzero(self._live(now)).tolist()
 
     def _measure(self, now: float) -> Optional[float]:
         """Utilisation from the reports in the sliding window, or None.
 
-        The mean offered rate over the devices actually heard from — an
-        unbiased estimate of the population mean under device-independent
-        loss — divided by the per-user capacity, mirroring
-        ``MeanFieldMap.utilization`` (identical NumPy reduction, so the
-        all-devices case is bit-equal to the closed form).
+        The mean offered rate over the live devices with a usable report —
+        an unbiased estimate of the population mean under
+        device-independent loss — divided by the per-user capacity,
+        mirroring ``MeanFieldMap.utilization``: the rates come out in
+        device order, so the all-devices case is bit-equal to the closed
+        form.
         """
-        window = self.config.report_window
-        rates: List[float] = []
-        for device in self.known:
-            stored = self._reports.get(device)
-            if stored is None:
-                continue
-            delivered_at, report_round, rate = stored
-            # An answer to the *current* broadcast is never stale, however
-            # long the (backed-off) wait was; the age window only prunes
-            # left-over answers to earlier rounds.
-            stale = (now - delivered_at > window
-                     and report_round != self.round)
-            if stale or not self._alive(device, now):
-                continue
-            rates.append(rate)
-        if not rates:
+        usable = self._live(now) & (self._report_round >= 0) & (
+            (now - self._report_at <= self.config.report_window)
+            | (self._report_round == self.round))
+        rates = self._report_rate[usable]
+        if rates.size == 0:
             return None
-        return float(np.mean(np.asarray(rates)) / self.capacity)
+        return float(np.mean(rates) / self.capacity)
 
     def _census(self, now: float) -> Tuple[int, int]:
-        """(devices with a stored report, live members) at ``now``."""
-        heard = len([d for d in self.known if d in self._reports])
-        return heard, len(self.members(now))
+        """(known devices with a stored report, live members) at ``now``."""
+        heard = self._known & (self._report_round >= 0)
+        return (int(np.count_nonzero(heard)),
+                int(np.count_nonzero(self._live(now))))
 
     def _record(self, measured: float) -> None:
         now = self.runtime.now

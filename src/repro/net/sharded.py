@@ -25,8 +25,10 @@ alone:
   γ̂ = 1.0, so devices *stop migrating into sites nobody can vouch for*;
 * **migration** — a device whose argmin moves announces
   ``JoinLeave(False)`` to its old home and ``JoinLeave(True)`` to the new
-  one, then reports there; coordinators track membership dynamically and
-  scale their utilisation measurements by their live member share.
+  one, then reports there; each coordinator's report table spans the
+  whole fleet's ids, so a migrant's join lands in the inherited table
+  (and the site's broadcast list), and sites scale their utilisation
+  measurements by their live member share.
 
 Determinism contract (mirrors ``run_net_dtu``, pinned by
 ``tests/test_sharded_net.py``): the same
@@ -40,7 +42,6 @@ reproduces ``run_net_dtu``'s γ̂ trajectory bit-identically.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -223,8 +224,9 @@ class SiteCoordinator(EdgeCoordinator):
     The broadcast/measure/sign-step loop is inherited unchanged; this
     subclass fills its three hooks (γ̂ gossip and delay probes to the peer
     sites before each broadcast, a stop test that is global across sites,
-    and controller bookkeeping at the end) and adds dynamic membership
-    (migrating devices join and leave) and a member-share scaling of the
+    and controller bookkeeping at the end), sizes the inherited report
+    table to the whole fleet (``n_total`` ids) so that migrating devices
+    can join and leave, and adds a member-share scaling of the
     measured utilisation: site ``j`` serves ``members_j`` of the fleet's
     ``N`` devices against capacity ``N·c_j``, so
     ``γ_j = mean(rates)·(members_j/N)/c_j``. With one site and full
@@ -253,6 +255,7 @@ class SiteCoordinator(EdgeCoordinator):
             config=config,
             recorder=recorder,
             address=site_address(site),
+            fleet_size=n_total,
         )
         self.site = site
         self._event_tags = {"site": site}
@@ -260,7 +263,6 @@ class SiteCoordinator(EdgeCoordinator):
         self.n_total = n_total
         self.controller = controller
         controller.coordinators.append(self)
-        self._known_set = set(self.known)
         self.peers = [k for k in range(n_sites) if k != site]
         self.peer_estimates = np.full(n_sites, config.initial_estimate)
         self.peer_rounds = np.zeros(n_sites, dtype=np.int64)
@@ -292,7 +294,7 @@ class SiteCoordinator(EdgeCoordinator):
         # Snapshot membership now: peers may keep the runtime alive long
         # past this site's exit, by which time liveness windows have
         # drained and members() would read as empty.
-        self.final_members = len(self.members(self.runtime.now))
+        self.final_members = self._census(self.runtime.now)[1]
         self.controller.finished(self)
 
     # -- backbone ---------------------------------------------------------
@@ -371,12 +373,6 @@ class SiteCoordinator(EdgeCoordinator):
         else:
             super()._handle(envelope)
 
-    def _on_join(self, device: int) -> None:
-        # Dynamic membership: migrating devices were not provisioned here.
-        if device not in self._known_set:
-            self._known_set.add(device)
-            insort(self.known, device)
-
     # -- measurement ------------------------------------------------------
 
     def _measure(self, now: float) -> Optional[float]:
@@ -388,13 +384,11 @@ class SiteCoordinator(EdgeCoordinator):
             # zero load; treating that as silence would decay its step
             # forever without ever updating γ̂, and the global convergence
             # test could then never pass.
-            if not any(d not in self._left for d in self.known):
-                return 0.0
-            return None
+            return None if self._member.any() else 0.0
         # ``base`` is mean(rates)/c_j over the devices heard; this site
         # carries members_j of the fleet's N against capacity N·c_j. The
         # factor is exactly 1.0 (bit-transparent) for a full single site.
-        return base * (len(self.members(now)) / self.n_total)
+        return base * (self._census(now)[1] / self.n_total)
 
     def _record(self, measured: float) -> None:
         super()._record(measured)
@@ -406,7 +400,7 @@ class SiteCoordinator(EdgeCoordinator):
                             round=self.round,
                             gamma_hat=self.stepper.estimate,
                             measured=measured,
-                            members=len(self._known_set - self._left))
+                            members=int(np.count_nonzero(self._member)))
 
 
 @dataclass(frozen=True)
@@ -442,7 +436,6 @@ def run_sharded_dtu(
     config: Optional[ShardedNetConfig] = None,
     recorder: Optional[Recorder] = None,
     modulation: Optional[Callable[[float], float]] = None,
-    share_memory: bool = False,
 ) -> ShardedDtuResult:
     """Run the sharded multi-edge protocol over ``system``'s deployment.
 
@@ -466,11 +459,6 @@ def run_sharded_dtu(
         shared site tables are stationary. Unmodulated devices read their
         row of one batched probe of their home site's kernel per
         estimate.
-    share_memory:
-        Back the compiled site kernels with one shared-memory table image
-        (``system.compile(share_memory=True)``) so a multi-process host
-        can hand the kernels to workers by handle. No effect on the
-        single-process run itself — responses are bit-identical.
     """
     config = config or ShardedNetConfig()
     obs = resolve_recorder(recorder)
@@ -490,8 +478,8 @@ def run_sharded_dtu(
 
     site_responses = None
     if modulation is None:
-        site_responses = [FleetResponses(kernel) for kernel in
-                          system.compile(share_memory=share_memory).kernels]
+        site_responses = [FleetResponses(kernel)
+                          for kernel in system.kernels]
 
     initial = np.full(n_sites, config.initial_estimate)
     homes, _ = system.best_response(initial)

@@ -4,11 +4,13 @@
 with synthetic decision traffic and measures what a client actually
 sees — throughput, latency percentiles, shed rate:
 
-* **open loop** (``rate > 0``): request start times are drawn up front
+* **open loop** (``rate > 0``): request due times are drawn up front
   from a seeded Poisson process (cumulative exponential gaps) and
   workers fire on schedule regardless of how fast responses return — the
   arrival pattern that actually exposes queueing collapse, which a
-  closed loop hides by self-throttling;
+  closed loop hides by self-throttling.  Each latency runs from the
+  request's due time, so a stall is charged to every request queued
+  behind it (no coordinated omission);
 * **closed loop** (``rate = 0``): each worker fires its next request the
   moment the previous one answers — an upper-bound throughput probe;
 * one persistent ``http.client.HTTPConnection`` per worker (HTTP/1.1
@@ -250,10 +252,15 @@ def run_replay(config: ReplayConfig) -> ReplayReport:
         try:
             for i in range(worker_index, config.requests, config.workers):
                 if open_loop:
-                    delay = start + schedule[i] - time.monotonic()
+                    # Timed from when the request was due, not sent: a
+                    # worker that fell behind charges its lateness to the
+                    # requests that queued behind the slow reply.
+                    t0 = start + float(schedule[i])
+                    delay = t0 - time.monotonic()
                     if delay > 0:
                         time.sleep(delay)
-                t0 = time.monotonic()
+                else:
+                    t0 = time.monotonic()
                 try:
                     status, document = client.request(
                         "POST", "/decide", bodies[i])

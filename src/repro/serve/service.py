@@ -36,11 +36,11 @@ time their computation.
 Every ``decide`` answers with columns (:class:`Decisions`) and doubles
 as one :class:`~repro.net.messages.ReportBatch` to the coordinator
 (marshalled onto the driver thread as a single message, whatever the
-batch size, and applied to the report table as it arrives), so the
-service measures γ from the traffic it actually serves; with a frozen
-population querying steadily, the γ̂ trajectory settles onto the same
-fixed point as the offline :func:`repro.core.dtu.run_dtu` (pinned by
-``tests/test_serve.py``).
+batch size, and scattered into the base coordinator's report table as
+it arrives), so the service measures γ from the traffic it actually
+serves; with a frozen population querying steadily, the γ̂ trajectory
+settles onto the same fixed point as the offline
+:func:`repro.core.dtu.run_dtu` (pinned by ``tests/test_serve.py``).
 
 **Staleness semantics** — responses carry ``stale: true`` when the γ̂
 they answer from predates the last re-estimation deadline by more than
@@ -55,7 +55,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -192,37 +192,24 @@ class ServingCoordinator(EdgeCoordinator):
       (:attr:`published`, a :class:`FleetAnswer`; one is published at
       construction too) without fanning N messages out to mailboxes that
       don't exist;
-    * **membership starts empty** — the provisioned fleet joins
-      explicitly (or implicitly on first decide);
-    * **the report table is columnar and fed on arrival** — one slot per
-      provisioned device (``devices`` must be ``0..N-1``): a joined mask,
-      the last-heard time, and the stored report's time, round and rate.
-      The coordinator's delivery handler is :meth:`_handle`, not its
-      mailbox: each :class:`ReportBatch` is applied as it is delivered,
-      with O(B) vector ops, and each :class:`JoinLeave` with three scalar
-      writes, under the base rules (the newest round wins, ties go to
-      the later message, a leave clears the report).  A round's
-      measurement and census are masked reductions over N.  The usable
-      rates come out in device order, so the NumPy mean — and with it
-      every γ̂ trajectory — is bit-equal to the per-message table's.
+    * **membership starts empty** (``joined=False``) — the provisioned
+      fleet joins explicitly, or implicitly on first decide;
+    * **reports are applied on arrival, a batch at a time** — the
+      coordinator's delivery handler is :meth:`_handle`, not its mailbox:
+      each :class:`ReportBatch` goes into the base report table as it is
+      delivered, with O(B) vector ops under the base rules, and every
+      other message through the base's scalar writes.
 
-    The round loop, stepper, and degradation logic are inherited
-    untouched; the inherited drain finds the mailbox empty.
+    The round loop, the report table, the measurement, the stepper and
+    the degradation logic are inherited untouched; the inherited drain
+    finds the mailbox empty.
     """
 
-    def __init__(self, *args, responses: FleetResponses, **kwargs):
-        super().__init__(*args, **kwargs)
-        n = len(self.known)
-        if self.known != list(range(n)):
-            raise ValueError("the serving table is indexed by device id: "
-                             "devices must be 0..N-1")
+    def __init__(self, *args, responses: FleetResponses,
+                 joined: bool = False, **kwargs):
+        super().__init__(*args, joined=joined, **kwargs)
         self.responses = responses
-        self._joined = np.zeros(n, dtype=bool)
-        self._heard_at = np.zeros(n)
-        self._report_at = np.zeros(n)
-        self._report_round = np.full(n, -1, dtype=np.int64)   # -1: none
-        self._report_rate = np.zeros(n)
-        self._last_row = np.full(n, -1, dtype=np.int64)   # see _apply_batch
+        self._last_row = np.full(self._known.size, -1, dtype=np.int64)
         self.transport.register(self.address, self._handle)
         self.last_round_ended = 0.0
         self.last_round_status = "init"
@@ -254,18 +241,12 @@ class ServingCoordinator(EdgeCoordinator):
         self.rounds_completed += 1
         super()._close_round_span(status, **tags)
 
-    # -- the report table --------------------------------------------------
-
     def _handle(self, envelope) -> None:
         """Apply one message as it is delivered (the transport's handler)."""
-        message = envelope.message
-        if isinstance(message, ReportBatch):
-            self._apply_batch(message, envelope.delivered_at)
-        elif isinstance(message, JoinLeave):
-            self._heard_at[message.device] = envelope.delivered_at
-            self._joined[message.device] = message.joining
-            if not message.joining:
-                self._report_round[message.device] = -1
+        if isinstance(envelope.message, ReportBatch):
+            self._apply_batch(envelope.message, envelope.delivered_at)
+        else:
+            super()._handle(envelope)
 
     def _apply_batch(self, batch: ReportBatch, at: float) -> None:
         """Apply one :class:`ReportBatch` as if row by row, in O(B).
@@ -279,7 +260,12 @@ class ServingCoordinator(EdgeCoordinator):
         devices = batch.devices
         self._heard_at[devices] = at
         if batch.joining:
-            self._joined[devices] = True
+            self._member[devices] = True
+            # As a scalar join would, an id not provisioned becomes known
+            # (never on the daemon, which provisions every id).
+            if not self._known[devices].all():
+                self._known[devices] = True
+                self.known = np.flatnonzero(self._known).tolist()
         rows = np.arange(devices.size)
         np.maximum.at(self._last_row, devices, rows)
         keep = (self._last_row[devices] == rows) \
@@ -290,34 +276,10 @@ class ServingCoordinator(EdgeCoordinator):
         self._report_round[updated] = batch.round
         self._report_rate[updated] = batch.offload_rates[keep]
 
-    def _alive_mask(self, now: float) -> np.ndarray:
-        timeout = self.config.liveness_timeout
-        if timeout is None:
-            return self._joined
-        return self._joined & (now - self._heard_at <= timeout)
-
-    def members(self, now: float) -> List[int]:
-        return np.flatnonzero(self._alive_mask(now)).tolist()
-
-    def _measure(self, now: float) -> Optional[float]:
-        # The base staleness rule as a mask: an answer to the current
-        # round is never stale; older ones must lie inside the window.
-        usable = self._alive_mask(now) & (self._report_round >= 0) & (
-            (now - self._report_at <= self.config.report_window)
-            | (self._report_round == self.round))
-        rates = self._report_rate[usable]
-        if rates.size == 0:
-            return None
-        return float(np.mean(rates) / self.capacity)
-
-    def _census(self, now: float) -> Tuple[int, int]:
-        return (int(np.count_nonzero(self._report_round >= 0)),
-                int(np.count_nonzero(self._alive_mask(now))))
-
     @property
     def joined(self) -> int:
         """Devices currently joined (explicit membership only)."""
-        return int(np.count_nonzero(self._joined))
+        return int(np.count_nonzero(self._member))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,8 +10,9 @@ clean ``stop()``.  This module holds that plumbing once so the two
 servers cannot drift.
 
 :class:`QuietHandler` is a :class:`~http.server.BaseHTTPRequestHandler`
-base with logging silenced, a JSON/text response helper that always
-sends ``Content-Length`` (keep-alive safe under ``HTTP/1.1``), and
+base with logging silenced, an idle timeout that closes connections
+silent for 30 s, a JSON/text response helper that always sends
+``Content-Length`` (keep-alive safe under ``HTTP/1.1``), and
 request-body readers that check the client's ``Content-Length`` before
 reading a byte.
 
@@ -42,6 +43,11 @@ class QuietHandler(BaseHTTPRequestHandler):
     # Nagle + delayed-ACK interaction: ~40 ms stalls that would dominate
     # every latency percentile the serving layer reports.
     disable_nagle_algorithm = True
+
+    # Seconds a connection may sit silent (idle keep-alive, a half-sent
+    # request line) before the read raises TimeoutError and the handler
+    # closes it; without one each such connection pins a thread forever.
+    timeout = 30.0
 
     def log_message(self, *args) -> None:
         """Silence per-request stderr chatter (requests are high-volume)."""

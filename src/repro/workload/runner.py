@@ -181,15 +181,13 @@ def run_workload_net(
     delay_model: Optional[EdgeDelayModel] = None,
     recorder: Optional[Recorder] = None,
     checkpoint_every: int = 5,
-    engine: Optional[ScheduleEngine] = None,
 ) -> WorkloadNetResult:
     """Run the network DTU protocol under a non-stationary workload.
 
     Parameters mirror :func:`repro.net.protocol.run_net_dtu`;
     additionally ``scenario`` names the workload (default: the constant
-    ``steady`` scenario), ``checkpoint_every`` sets the γ*(t) cadence of
-    the post-run lag report, and ``engine`` injects a prebuilt
-    :class:`ScheduleEngine` (tests use this to share γ* caches).
+    ``steady`` scenario) and ``checkpoint_every`` sets the γ*(t) cadence
+    of the post-run lag report.
 
     Only a run that degenerates to the stationary Lemma-1 case compiles a
     fleet kernel: modulated devices take the scalar staircase (compiled
@@ -205,9 +203,8 @@ def run_workload_net(
         derive_seeds(config.seed, 4)
 
     horizon = config.resolved_horizon()
-    if engine is None:
-        engine = ScheduleEngine(population, scenario, horizon=horizon,
-                                seed=region_seed, delay_model=delay_model)
+    engine = ScheduleEngine(population, scenario, horizon=horizon,
+                            seed=region_seed, delay_model=delay_model)
     stationary = scenario.schedule.constant \
         and engine.min_factor == engine.max_factor == 1.0
     lemma1 = config.agent_policy == "lemma1"

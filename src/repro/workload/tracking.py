@@ -105,7 +105,6 @@ def track_equilibrium(
     delay_model: Optional[EdgeDelayModel] = None,
     seed: SeedLike = 0,
     recorder: Optional[Recorder] = None,
-    engine: Optional[ScheduleEngine] = None,
 ) -> TrackingResult:
     """Run DTU against ``scenario``'s drifting equilibrium.
 
@@ -117,11 +116,10 @@ def track_equilibrium(
     churn assignment; the tracker itself is deterministic.
     """
     config = config or TrackingConfig()
-    if engine is None:
-        engine = ScheduleEngine(
-            population, scenario, horizon=config.steps * config.dt,
-            seed=seed, delay_model=delay_model, levels=config.levels,
-        )
+    engine = ScheduleEngine(
+        population, scenario, horizon=config.steps * config.dt,
+        seed=seed, delay_model=delay_model, levels=config.levels,
+    )
     obs = resolve_recorder(recorder)
     stepper = DtuStepper(
         initial_step=config.initial_step,

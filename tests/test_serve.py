@@ -44,6 +44,7 @@ from repro.serve import (
 )
 from repro.serve.httpd import encode_decisions
 from repro.serve.replay import ReplayConfig, run_replay
+from repro.utils.httpd import HttpDaemon, QuietHandler
 
 
 @pytest.fixture(scope="module")
@@ -605,6 +606,20 @@ class TestDecisionServer:
             assert status == 200
             assert live.service.state()["shed_total"] == 1
 
+    def test_idle_connection_is_closed(self, population, monkeypatch):
+        assert QuietHandler.timeout == 30.0
+        # A short idle timeout stands in for the 30 s one.
+        monkeypatch.setattr(QuietHandler, "timeout", 0.3)
+        config = ServeConfig(round_period=0.05)
+        with DecisionServer(DecisionService(population, config)) as live:
+            host, port = live.url.rsplit("/", 1)[-1].split(":")
+            with socket.create_connection((host, int(port)),
+                                          timeout=5.0) as idle:
+                idle.sendall(b"POST /deci")         # half a request line
+                assert _post(live.url + "/decide", {"device": 1})[0] == 200
+                # Closed unanswered once silent past the timeout, not held.
+                assert idle.recv(1024) == b""
+
     def test_non_numeric_content_length_on_the_shed_path(self, population):
         config = ServeConfig(round_period=0.05, watermark=1)
         with DecisionServer(DecisionService(population, config)) as live:
@@ -762,6 +777,31 @@ class TestReplay:
                        "errors", "mode", "batch"):
             assert column in row
         assert row["n_users"] == population.size
+
+    def test_open_loop_charges_a_stall_to_the_requests_behind_it(self):
+        # The first /decide stalls; the other five (seed 0, 200/s) fall
+        # due within 32 ms of it, so each waits behind the stall and its
+        # latency, timed from its due time, must carry most of it.
+        stall = 0.3
+        stalled = []
+
+        class Stalling(QuietHandler):
+            def do_GET(self):
+                self.send_json(200, {"status": "ok"})
+
+            def do_POST(self):
+                self.drain_body(int(self.headers["Content-Length"]))
+                if not stalled:
+                    stalled.append(True)
+                    time.sleep(stall)
+                self.send_json(200, {"decisions": [{}]})
+
+        with HttpDaemon(Stalling) as daemon:
+            report = run_replay(ReplayConfig(
+                url=daemon.url, requests=6, rate=200.0, workers=1,
+                devices=10, seed=0))
+        assert report.mode == "open" and report.ok == 6
+        assert report.latencies.min() > stall - 0.1
 
     def test_bench_normalizer_reads_serve_shape(self, population):
         from repro.obs.bench import metric_direction, normalize

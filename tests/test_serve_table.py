@@ -1,36 +1,47 @@
-"""The serving coordinator's columnar report table vs the per-message one.
+"""The coordinators' one report table against a per-message reference.
 
-:class:`~repro.serve.service.ServingCoordinator` applies one
-:class:`~repro.net.messages.ReportBatch` per ``/decide`` request with
-vector ops as it is delivered.  The reference is the plain
-:class:`~repro.net.actors.EdgeCoordinator` fed the same traffic as one
-``JoinLeave`` (when the batch joins) plus one ``ThresholdReport`` per row,
-with membership starting empty as the daemon's does.  Both get each
-message through the handler they registered with the transport, then
-drain: the reference's mailbox empties into its table, the serving
-table's mailbox is already empty.  Scripts mix duplicate ids within a
-batch, stale and out-of-order rounds (two handler threads interleaving),
-leaves and re-joins between batches, and round ends at arbitrary points,
-with and without a liveness timeout and auto-join; after every event the
-measured γ must agree to the bit and the heard/member counts exactly.
+:class:`~repro.net.actors.EdgeCoordinator` keeps its report table as
+columns over the fleet's ids, and two paths write it: the scalar path
+(the base handler: one ``JoinLeave``, ``ThresholdReport`` or
+``Heartbeat`` at a time, buffered in the mailbox until a drain) and the
+batch path (:class:`~repro.serve.service.ServingCoordinator`: one
+:class:`~repro.net.messages.ReportBatch` per ``/decide`` request, applied
+as it is delivered).  The reference, :class:`_Reference`, is the
+per-message dict table the columns replaced.  All three see the same
+traffic: a batch is one ``ReportBatch`` to the serving coordinator and,
+to the scalar coordinator and the reference, one ``JoinLeave`` (when the
+batch joins) plus one ``ThresholdReport`` per row.
+
+Scripts mix duplicate ids within a batch, stale and out-of-order rounds
+(two handler threads interleaving), heartbeats, leaves and re-joins, and
+round ends at arbitrary points, with and without a liveness timeout and
+auto-join, from three starting memberships: provisioned (the net
+runtimes), empty (the daemon), and partial (a sharded site), where
+unprovisioned ids join and a report may arrive before its device's join.
+After every event the measured γ must agree to the bit, and the census,
+the member list, the ``known`` broadcast list and the joined count
+exactly.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+
+import numpy as np
 import pytest
 
 from repro.core.edge_delay import PAPER_DELAY_MODEL
 from repro.core.kernels import compile_mean_field
 from repro.net.actors import EDGE_ADDRESS, EdgeCoordinator, FleetResponses
 from repro.net.clock import Runtime
-from repro.net.messages import Envelope, JoinLeave, ReportBatch, \
-    ThresholdReport
+from repro.net.messages import Envelope, Heartbeat, JoinLeave, \
+    ReportBatch, ThresholdReport
 from repro.population.sampler import sample_population
 from repro.population.scenarios import build_scenario
 from repro.serve import ServeConfig, ServingCoordinator
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 N_DEVICES = 6
 CAPACITY = 3.0
@@ -41,16 +52,75 @@ KERNEL = compile_mean_field(
 #: Times and windows on a quarter grid, so report ages land exactly on
 #: the window and timeout boundaries.
 QUARTERS = st.integers(min_value=0, max_value=8).map(lambda q: q / 4.0)
+DEVICE = st.integers(0, N_DEVICES - 1)
 
-rows = st.tuples(st.integers(0, N_DEVICES - 1),
-                 st.floats(0.0, 5.0, allow_nan=False),
+rows = st.tuples(DEVICE, st.floats(0.0, 5.0, allow_nan=False),
                  st.integers(0, 30))
 batch = st.tuples(st.just("batch"), QUARTERS, st.integers(0, 4),
                   st.lists(rows, min_size=1, max_size=8))
-membership = st.tuples(st.sampled_from(["join", "leave"]), QUARTERS,
-                       st.integers(0, N_DEVICES - 1))
+single = st.tuples(st.sampled_from(["join", "leave", "heartbeat"]),
+                   QUARTERS, DEVICE)
 #: A round end: both coordinators drain their mailboxes.
 drain = st.tuples(st.just("drain"), st.just(0.0))
+#: (provisioned ids, whether they start joined); ``None``: the whole fleet.
+memberships = st.one_of(
+    st.tuples(st.none(), st.booleans()),
+    st.tuples(st.sets(DEVICE, max_size=N_DEVICES - 1), st.just(True)))
+
+
+class _Reference:
+    """The per-message report table: one dict entry per device."""
+
+    def __init__(self, devices, joined: bool, config):
+        self.known = sorted(devices)
+        self.left = set() if joined else set(self.known)
+        self.last_heard = {}
+        self.reports = {}    # device -> (delivered_at, round, offload_rate)
+        self.config = config
+        self.round = 0
+
+    def handle(self, message, at: float) -> None:
+        device = message.device
+        self.last_heard[device] = at
+        if isinstance(message, ThresholdReport):
+            stored = self.reports.get(device)
+            if stored is None or message.round >= stored[1]:
+                self.reports[device] = (at, message.round,
+                                        message.offload_rate)
+        elif isinstance(message, JoinLeave):
+            if message.joining:
+                self.left.discard(device)
+                if device not in self.known:
+                    insort(self.known, device)
+            else:
+                self.left.add(device)
+                self.reports.pop(device, None)
+
+    def alive(self, device: int, now: float) -> bool:
+        timeout = self.config.liveness_timeout
+        return device not in self.left and (
+            timeout is None
+            or now - self.last_heard.get(device, 0.0) <= timeout)
+
+    def members(self, now: float):
+        return [device for device in self.known if self.alive(device, now)]
+
+    def measure(self, now: float):
+        rates = []
+        for device in self.known:
+            stored = self.reports.get(device)
+            if stored is None or not self.alive(device, now):
+                continue
+            delivered_at, report_round, rate = stored
+            if now - delivered_at <= self.config.report_window \
+                    or report_round == self.round:
+                rates.append(rate)
+        return float(np.mean(np.asarray(rates)) / CAPACITY) if rates \
+            else None
+
+    def census(self, now: float):
+        heard = len([d for d in self.known if d in self.reports])
+        return heard, len(self.members(now))
 
 
 class _Wire:
@@ -63,12 +133,12 @@ class _Wire:
         self.handlers[address] = handler
 
 
-def _coordinator(cls, config):
+def _coordinator(cls, config, devices, joined: bool):
     extra = {"responses": FleetResponses(KERNEL)} \
         if cls is ServingCoordinator else {}
-    return cls(runtime=Runtime(), transport=_Wire(),
-               devices=range(N_DEVICES), capacity=CAPACITY, config=config,
-               **extra)
+    return cls(runtime=Runtime(), transport=_Wire(), devices=devices,
+               capacity=CAPACITY, config=config, fleet_size=N_DEVICES,
+               joined=joined, **extra)
 
 
 def _deliver(coordinator, message, at: float) -> None:
@@ -82,28 +152,45 @@ def _bits(value):
     return None if value is None else value.hex()
 
 
-def _assert_agree(table, reference, now: float, current_round: int) -> None:
-    table.round = reference.round = current_round
+def _assert_agree(coordinators, reference, now: float,
+                  current_round: int) -> None:
+    reference.round = current_round
+    for coordinator in coordinators:
+        coordinator.round = current_round
+        assert coordinator.known == reference.known
+        assert all(type(device) is int for device in coordinator.known)
     for later in (0.0, 0.25, 0.5, 0.75, 1.5, 2.0, 2.25, 5.0):
         at = now + later
-        assert _bits(table._measure(at)) == _bits(reference._measure(at))
-        assert table._census(at) == reference._census(at)
-        assert table.members(at) == reference.members(at)
-    assert table.joined == len(reference.known) - len(reference._left)
+        expected = (_bits(reference.measure(at)), reference.census(at),
+                    reference.members(at))
+        for coordinator in coordinators:
+            assert (_bits(coordinator._measure(at)), coordinator._census(at),
+                    coordinator.members(at)) == expected
+    assert coordinators[1].joined == \
+        len([d for d in reference.known if d not in reference.left])
 
 
-@given(script=st.lists(st.one_of(batch, membership, drain), max_size=25),
+# A sharded site provisioned with {0, 1}: device 4's report arrives
+# before its join, and counts once the join lands.
+@example(script=[("batch", 0.25, 1, [(4, 2.0, 3)]), ("join", 0.25, 4)],
+         membership=({0, 1}, True), liveness=None, auto_join=False,
+         window=1.5, current_round=1)
+@given(script=st.lists(st.one_of(batch, single, drain), max_size=25),
+       membership=memberships,
        liveness=st.sampled_from([None, 0.75, 2.0]),
        auto_join=st.booleans(),
        window=st.sampled_from([0.5, 1.5]),
        current_round=st.integers(0, 4))
 def test_columnar_table_matches_per_message_table(
-        script, liveness, auto_join, window, current_round):
+        script, membership, liveness, auto_join, window, current_round):
+    provisioned, joined = membership
+    devices = range(N_DEVICES) if provisioned is None else provisioned
     config = ServeConfig(liveness_timeout=liveness, report_window=window,
                          auto_join=auto_join).protocol()
-    table = _coordinator(ServingCoordinator, config)
-    reference = _coordinator(EdgeCoordinator, config)
-    reference._left = set(reference.known)
+    scalar = _coordinator(EdgeCoordinator, config, devices, joined)
+    table = _coordinator(ServingCoordinator, config, devices, joined)
+    reference = _Reference(devices, joined, config)
+    coordinators = (scalar, table)
 
     now = 0.0
     for event in script:
@@ -111,25 +198,31 @@ def test_columnar_table_matches_per_message_table(
         now += step
         if kind == "batch":
             report_round, entries = rest
-            devices = [device for device, _, _ in entries]
+            ids = [device for device, _, _ in entries]
             rates = [rate for _, rate, _ in entries]
             thresholds = [threshold for _, _, threshold in entries]
-            _deliver(table, ReportBatch(devices, report_round, thresholds,
+            _deliver(table, ReportBatch(ids, report_round, thresholds,
                                         rates, joining=auto_join), now)
             for device, rate, threshold in entries:
+                messages = [ThresholdReport(device, report_round,
+                                            float(threshold), rate)]
                 if auto_join:
-                    _deliver(reference, JoinLeave(device, True), now)
-                _deliver(reference, ThresholdReport(
-                    device, report_round, float(threshold), rate), now)
+                    messages.insert(0, JoinLeave(device, True))
+                for message in messages:
+                    _deliver(scalar, message, now)
+                    reference.handle(message, now)
         elif kind == "drain":
-            table._drain()
-            reference._drain()
+            for coordinator in coordinators:
+                coordinator._drain()
         else:
-            message = JoinLeave(rest[0], kind == "join")
-            _deliver(table, message, now)
-            _deliver(reference, message, now)
-        _assert_agree(table, reference, now, current_round)
-    table._drain()
-    reference._drain()
-    _assert_agree(table, reference, now, current_round)
+            device = rest[0]
+            message = Heartbeat(device, now) if kind == "heartbeat" \
+                else JoinLeave(device, kind == "join")
+            for coordinator in coordinators:
+                _deliver(coordinator, message, now)
+            reference.handle(message, now)
+        _assert_agree(coordinators, reference, now, current_round)
+    for coordinator in coordinators:
+        coordinator._drain()
+    _assert_agree(coordinators, reference, now, current_round)
     assert len(table.mailbox) == 0
