@@ -49,6 +49,7 @@ from repro.core.dtu import DtuConfig, run_dtu
 from repro.core.equilibrium import solve_mfne
 from repro.core.meanfield import MeanFieldMap
 from repro.core.social import solve_social_optimum
+from repro.obs import observed_run
 from repro.population.sampler import sample_population
 from repro.population.scenarios import build_scenario, scenario_names
 from repro.utils.asciiplot import convergence_plot
@@ -62,9 +63,72 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_faults(parser: argparse.ArgumentParser) -> None:
+    """The seeded fault and churn flags of ``net`` and ``sharded``."""
+    parser.add_argument("--loss", type=float, default=0.0,
+                        help="P(message dropped)")
+    parser.add_argument("--duplicate", type=float, default=0.0,
+                        help="P(message duplicated)")
+    parser.add_argument("--latency", type=float, default=0.0,
+                        help="base one-way delay (virtual time)")
+    parser.add_argument("--jitter", type=float, default=0.0,
+                        help="mean exponential extra delay (causes "
+                             "reordering)")
+    parser.add_argument("--leave-rate", type=float, default=0.0,
+                        help="per-device churn rate (exponential)")
+    parser.add_argument("--mean-downtime", type=float, default=0.0,
+                        help="mean off-time before rejoining (0: gone for "
+                             "good)")
+    parser.add_argument("--stragglers", type=float, default=0.0,
+                        help="fraction of devices with slow reports")
+    parser.add_argument("--straggler-delay", type=float, default=1.0,
+                        help="extra report delay for stragglers")
+
+
+def _faults(args):
+    """``(FaultConfig | None, ChurnConfig | None)`` from :func:`_add_faults`'s
+    flags: None when every flag of the kind is off."""
+    from repro.net import ChurnConfig, FaultConfig
+
+    faults = churn = None
+    if args.loss or args.duplicate or args.latency or args.jitter:
+        faults = FaultConfig(loss=args.loss, duplicate=args.duplicate,
+                             latency=args.latency, jitter=args.jitter)
+    if args.leave_rate or args.stragglers:
+        churn = ChurnConfig(leave_rate=args.leave_rate,
+                            mean_downtime=args.mean_downtime,
+                            straggler_fraction=args.stragglers,
+                            straggler_delay=args.straggler_delay)
+    return faults, churn
+
+
+def _add_observability(parser: argparse.ArgumentParser,
+                       live_metrics: bool = True) -> None:
+    """``--trace`` (and ``--serve-metrics``), read by :func:`observed_run`."""
+    parser.add_argument("--trace", type=str, default=None, metavar="DIR",
+                        help="write manifest/events/spans/metrics to DIR "
+                             "(span trees: python -m repro.obs.spans DIR)")
+    if live_metrics:
+        parser.add_argument("--serve-metrics", type=int, default=None,
+                            metavar="PORT",
+                            help="serve a live Prometheus /metrics endpoint "
+                                 "on localhost:PORT while the run lasts")
+
+
 def _population(args):
     config = build_scenario(args.scenario)
     return sample_population(config, args.users, rng=args.seed)
+
+
+def _print_messages(result) -> None:
+    """The virtual-time and message-fate line of a net or sharded run."""
+    log = result.log
+    print(f"virtual time {result.virtual_time:.1f}, "
+          f"{result.events_fired} events; messages: "
+          f"{log.attempted} attempted, {log.count('delivered')} delivered "
+          f"({100 * log.delivered_fraction:.1f}%), "
+          f"{log.count('dropped') + log.count('partitioned')} lost, "
+          f"{log.count('duplicated')} duplicated")
 
 
 def cmd_scenarios(_args) -> int:
@@ -121,88 +185,32 @@ def cmd_dtu(args) -> int:
 
 
 def cmd_net(args) -> int:
-    from repro.net import ChurnConfig, FaultConfig, NetConfig, run_net_dtu
+    from repro.net import NetConfig, run_net_dtu
 
     population = _population(args)
     gamma_star = solve_mfne(MeanFieldMap(population)).utilization
-    faults = None
-    if args.loss or args.duplicate or args.latency or args.jitter:
-        faults = FaultConfig(loss=args.loss, duplicate=args.duplicate,
-                             latency=args.latency, jitter=args.jitter)
-    churn = None
-    if args.leave_rate or args.stragglers:
-        churn = ChurnConfig(leave_rate=args.leave_rate,
-                            mean_downtime=args.mean_downtime,
-                            straggler_fraction=args.stragglers,
-                            straggler_delay=args.straggler_delay)
+    faults, churn = _faults(args)
     config = NetConfig(
         initial_step=args.step, tolerance=args.tolerance,
         max_rounds=args.max_rounds, heartbeat_interval=args.heartbeat,
         faults=faults, churn=churn, seed=args.seed,
         log_messages=False,    # CLI runs can be large; counters suffice
     )
-
-    # Opt-in observability: --trace writes manifest/events/spans/metrics,
-    # --serve-metrics exposes the live registry while the run lasts.
-    recorder = None
-    tracer = spans = server = trace_dir = None
-    if args.trace is not None or args.serve_metrics is not None:
-        from pathlib import Path
-
-        from repro.obs import MetricsRegistry, ObsRecorder, RunManifest, Tracer
-        registry = MetricsRegistry()
-        if args.trace is not None:
-            from repro.obs.spans import SpanCollector
-            trace_dir = Path(args.trace)
-            trace_dir.mkdir(parents=True, exist_ok=True)
-            manifest = RunManifest.capture(
-                seed=args.seed,
-                config={"scenario": args.scenario, "users": args.users,
-                        "loss": args.loss, "max_rounds": args.max_rounds},
-            )
-            manifest.save(trace_dir / "manifest.json")
-            tracer = Tracer(trace_dir / "events.jsonl",
-                            run_id=manifest.run_id)
-            spans = SpanCollector(trace_dir / "spans.jsonl")
-        recorder = ObsRecorder(registry, tracer, spans=spans)
-        if args.serve_metrics is not None:
-            from repro.obs.serve import MetricsServer
-            server = MetricsServer(registry.snapshot,
-                                   port=args.serve_metrics).start()
-            print(f"serving live metrics at {server.url}")
-
-    try:
+    with observed_run(args.seed, args, args.trace,
+                      args.serve_metrics) as recorder:
         result = run_net_dtu(population, config, recorder=recorder)
-    finally:
-        if server is not None:
-            server.stop()
-        if spans is not None:
-            spans.finish()
-            spans.close()
-        if tracer is not None:
-            recorder.registry.save(trace_dir / "metrics.json")
-            tracer.close()
-    log = result.log
-    print(f"scenario: {args.scenario} (N={population.size}, "
-          f"seed={args.seed})")
-    print(f"γ* = {gamma_star:.4f}; net DTU converged={result.converged} "
-          f"in {result.iterations} updates / {result.rounds} rounds "
-          f"({result.silent_rounds} silent); final γ̂ = "
-          f"{result.estimated_utilization:.4f}, last measured γ = "
-          f"{result.measured_utilization:.4f}")
-    print(f"virtual time {result.virtual_time:.1f}, "
-          f"{result.events_fired} events; messages: "
-          f"{log.attempted} attempted, {log.count('delivered')} delivered "
-          f"({100 * log.delivered_fraction:.1f}%), "
-          f"{log.count('dropped') + log.count('partitioned')} lost, "
-          f"{log.count('duplicated')} duplicated")
-    if args.plot:
-        print()
-        print(convergence_plot(result.trace.estimated,
-                               result.trace.measured, gamma_star))
-    if trace_dir is not None:
-        print(f"trace written to {trace_dir} (span trees: "
-              f"python -m repro.obs.spans {trace_dir})")
+        print(f"scenario: {args.scenario} (N={population.size}, "
+              f"seed={args.seed})")
+        print(f"γ* = {gamma_star:.4f}; net DTU converged={result.converged} "
+              f"in {result.iterations} updates / {result.rounds} rounds "
+              f"({result.silent_rounds} silent); final γ̂ = "
+              f"{result.estimated_utilization:.4f}, last measured γ = "
+              f"{result.measured_utilization:.4f}")
+        _print_messages(result)
+        if args.plot:
+            print()
+            print(convergence_plot(result.trace.estimated,
+                                   result.trace.measured, gamma_star))
     return 0
 
 
@@ -214,23 +222,13 @@ def cmd_sharded(args) -> int:
         solve_multiedge_equilibrium,
         tiered_sites,
     )
-    from repro.net import ChurnConfig, FaultConfig, ShardedNetConfig, \
-        run_sharded_dtu
+    from repro.net import ShardedNetConfig, run_sharded_dtu
 
     population = _population(args)
     sites = tiered_sites(args.sites, total_capacity=args.total_capacity)
     system = MultiEdgeSystem(population, sites, rng=args.seed)
     eq = solve_multiedge_equilibrium(system)
-    faults = None
-    if args.loss or args.duplicate or args.latency or args.jitter:
-        faults = FaultConfig(loss=args.loss, duplicate=args.duplicate,
-                             latency=args.latency, jitter=args.jitter)
-    churn = None
-    if args.leave_rate or args.stragglers:
-        churn = ChurnConfig(leave_rate=args.leave_rate,
-                            mean_downtime=args.mean_downtime,
-                            straggler_fraction=args.stragglers,
-                            straggler_delay=args.straggler_delay)
+    faults, churn = _faults(args)
     config = ShardedNetConfig(
         initial_step=args.step, tolerance=args.tolerance,
         max_rounds=args.max_rounds, faults=faults, churn=churn,
@@ -239,72 +237,25 @@ def cmd_sharded(args) -> int:
         probe_interval=args.probe_interval,
         migrate=not args.no_migrate,
     )
-
-    recorder = None
-    tracer = spans = server = trace_dir = None
-    if args.trace is not None or args.serve_metrics is not None:
-        from pathlib import Path
-
-        from repro.obs import MetricsRegistry, ObsRecorder, RunManifest, Tracer
-        registry = MetricsRegistry()
-        if args.trace is not None:
-            from repro.obs.spans import SpanCollector
-            trace_dir = Path(args.trace)
-            trace_dir.mkdir(parents=True, exist_ok=True)
-            manifest = RunManifest.capture(
-                seed=args.seed,
-                config={"scenario": args.scenario, "users": args.users,
-                        "sites": args.sites, "loss": args.loss,
-                        "max_rounds": args.max_rounds},
-            )
-            manifest.save(trace_dir / "manifest.json")
-            tracer = Tracer(trace_dir / "events.jsonl",
-                            run_id=manifest.run_id)
-            spans = SpanCollector(trace_dir / "spans.jsonl")
-        recorder = ObsRecorder(registry, tracer, spans=spans)
-        if args.serve_metrics is not None:
-            from repro.obs.serve import MetricsServer
-            server = MetricsServer(registry.snapshot,
-                                   port=args.serve_metrics).start()
-            print(f"serving live metrics at {server.url}")
-
-    try:
+    with observed_run(args.seed, args, args.trace,
+                      args.serve_metrics) as recorder:
         result = run_sharded_dtu(system, config, recorder=recorder)
-    finally:
-        if server is not None:
-            server.stop()
-        if spans is not None:
-            spans.finish()
-            spans.close()
-        if tracer is not None:
-            recorder.registry.save(trace_dir / "metrics.json")
-            tracer.close()
-
-    log = result.log
-    print(f"scenario: {args.scenario} (N={population.size}, "
-          f"m={system.n_sites}, seed={args.seed})")
-    print(f"sharded DTU converged={result.converged} in "
-          f"{int(result.iterations.max())} updates / "
-          f"{int(result.rounds.max())} rounds "
-          f"({int(result.silent_rounds.sum())} silent); "
-          f"{result.migrations} migrations")
-    shares = np.bincount(result.final_homes, minlength=system.n_sites) \
-        / population.size
-    print(f"{'site':<12s} {'γ*':>8s} {'γ̂':>8s} {'share':>7s} "
-          f"{'members':>8s}")
-    for j, site in enumerate(system.sites):
-        print(f"{site.name:<12s} {eq.utilizations[j]:8.4f} "
-              f"{result.estimated_utilizations[j]:8.4f} "
-              f"{shares[j]:6.1%} {int(result.site_members[j]):8d}")
-    print(f"virtual time {result.virtual_time:.1f}, "
-          f"{result.events_fired} events; messages: "
-          f"{log.attempted} attempted, {log.count('delivered')} delivered "
-          f"({100 * log.delivered_fraction:.1f}%), "
-          f"{log.count('dropped') + log.count('partitioned')} lost, "
-          f"{log.count('duplicated')} duplicated")
-    if trace_dir is not None:
-        print(f"trace written to {trace_dir} (span trees: "
-              f"python -m repro.obs.spans {trace_dir})")
+        print(f"scenario: {args.scenario} (N={population.size}, "
+              f"m={system.n_sites}, seed={args.seed})")
+        print(f"sharded DTU converged={result.converged} in "
+              f"{int(result.iterations.max())} updates / "
+              f"{int(result.rounds.max())} rounds "
+              f"({int(result.silent_rounds.sum())} silent); "
+              f"{result.migrations} migrations")
+        shares = np.bincount(result.final_homes, minlength=system.n_sites) \
+            / population.size
+        print(f"{'site':<12s} {'γ*':>8s} {'γ̂':>8s} {'share':>7s} "
+              f"{'members':>8s}")
+        for j, site in enumerate(system.sites):
+            print(f"{site.name:<12s} {eq.utilizations[j]:8.4f} "
+                  f"{result.estimated_utilizations[j]:8.4f} "
+                  f"{shares[j]:6.1%} {int(result.site_members[j]):8d}")
+        _print_messages(result)
     return 0
 
 
@@ -320,37 +271,18 @@ def cmd_serve(args) -> int:
         tolerance=args.tolerance,
         watermark=args.watermark,
     )
-
-    recorder = spans = tracer = trace_dir = None
-    if args.trace is not None:
-        from pathlib import Path
-
-        from repro.obs import MetricsRegistry, ObsRecorder, RunManifest, \
-            Tracer
-        from repro.obs.spans import SpanCollector
-        trace_dir = Path(args.trace)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest.capture(
-            seed=args.seed,
-            config={"scenario": args.scenario, "users": args.users,
-                    "round_period": args.round_period,
-                    "watermark": args.watermark},
-        )
-        manifest.save(trace_dir / "manifest.json")
-        tracer = Tracer(trace_dir / "events.jsonl", run_id=manifest.run_id)
-        # The coordinator's recorder carries the tracer but NOT the span
-        # collector: spans are shared across HTTP handler threads, so
-        # the DecisionServer owns them behind its lock.
-        recorder = ObsRecorder(MetricsRegistry(), tracer)
-        spans = SpanCollector(trace_dir / "spans.jsonl")
-
-    service = DecisionService(population, config, recorder=recorder)
-    server = DecisionServer(service, port=args.port, host=args.host,
-                            spans=spans)
-    print(f"scenario: {args.scenario} (N={population.size}, "
-          f"c={population.capacity:g})")
-    try:
-        with server:
+    with observed_run(args.seed, args, args.trace) as recorder:
+        service = DecisionService(population, config, recorder=recorder)
+        server = DecisionServer(service, port=args.port, host=args.host)
+        print(f"scenario: {args.scenario} (N={population.size}, "
+              f"c={population.capacity:g})")
+        try:
+            server.start()
+        except OSError as error:
+            print(f"error: cannot listen on {args.host}:{args.port}: "
+                  f"{error}", file=sys.stderr)
+            return 1
+        try:
             print(f"serving decisions at {server.url} "
                   f"(round period {config.round_period:g}s, "
                   f"watermark {config.watermark})")
@@ -359,18 +291,15 @@ def cmd_serve(args) -> int:
             else:
                 while service.healthy:
                     _time.sleep(0.5)
-    except KeyboardInterrupt:
-        print("\ninterrupted, shutting down")
-    finally:
-        if tracer is not None:
-            recorder.registry.save(trace_dir / "metrics.json")
-            tracer.close()
-    state = service.state()
-    print(f"served {state['admitted_total']} requests "
-          f"({state['shed_total']} shed) over {state['round']} rounds; "
-          f"final γ̂ = {state['gamma']:.4f}, converged={state['converged']}")
-    if trace_dir is not None:
-        print(f"trace written to {trace_dir}")
+        except KeyboardInterrupt:
+            print("\ninterrupted, shutting down")
+        finally:
+            server.stop()
+        state = service.state()
+        print(f"served {state['admitted_total']} requests "
+              f"({state['shed_total']} shed) over {state['round']} rounds; "
+              f"final γ̂ = {state['gamma']:.4f}, "
+              f"converged={state['converged']}")
     if service.driver.failure is not None:
         print(f"coordinator failed: {service.driver.failure!r}",
               file=sys.stderr)
@@ -541,32 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--tolerance", type=float, default=0.01, help="ε")
     net.add_argument("--max-rounds", type=int, default=500,
                      help="broadcast budget, retries included")
-    net.add_argument("--loss", type=float, default=0.0,
-                     help="P(message dropped)")
-    net.add_argument("--duplicate", type=float, default=0.0,
-                     help="P(message duplicated)")
-    net.add_argument("--latency", type=float, default=0.0,
-                     help="base one-way delay (virtual time)")
-    net.add_argument("--jitter", type=float, default=0.0,
-                     help="mean exponential extra delay (causes reordering)")
-    net.add_argument("--leave-rate", type=float, default=0.0,
-                     help="per-device churn rate (exponential)")
-    net.add_argument("--mean-downtime", type=float, default=0.0,
-                     help="mean off-time before rejoining (0: gone for good)")
-    net.add_argument("--stragglers", type=float, default=0.0,
-                     help="fraction of devices with slow reports")
-    net.add_argument("--straggler-delay", type=float, default=1.0,
-                     help="extra report delay for stragglers")
+    _add_faults(net)
     net.add_argument("--heartbeat", type=float, default=0.0,
                      help="device heartbeat interval (0: disabled)")
-    net.add_argument("--trace", type=str, default=None, metavar="DIR",
-                     help="write manifest/events/spans/metrics to DIR "
-                          "(per-round causal span trees: "
-                          "python -m repro.obs.spans DIR)")
-    net.add_argument("--serve-metrics", type=int, default=None,
-                     metavar="PORT",
-                     help="serve a live Prometheus /metrics endpoint on "
-                          "localhost:PORT while the run lasts")
+    _add_observability(net)
     net.add_argument("--plot", action="store_true",
                      help="draw the convergence trace")
     net.set_defaults(func=cmd_net)
@@ -588,22 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     sharded.add_argument("--tolerance", type=float, default=0.01, help="ε")
     sharded.add_argument("--max-rounds", type=int, default=500,
                          help="per-site broadcast budget")
-    sharded.add_argument("--loss", type=float, default=0.0,
-                         help="P(message dropped)")
-    sharded.add_argument("--duplicate", type=float, default=0.0,
-                         help="P(message duplicated)")
-    sharded.add_argument("--latency", type=float, default=0.0,
-                         help="base one-way delay (virtual time)")
-    sharded.add_argument("--jitter", type=float, default=0.0,
-                         help="mean exponential extra delay")
-    sharded.add_argument("--leave-rate", type=float, default=0.0,
-                         help="per-device churn rate (exponential)")
-    sharded.add_argument("--mean-downtime", type=float, default=0.0,
-                         help="mean off-time before rejoining")
-    sharded.add_argument("--stragglers", type=float, default=0.0,
-                         help="fraction of devices with slow reports")
-    sharded.add_argument("--straggler-delay", type=float, default=1.0,
-                         help="extra report delay for stragglers")
+    _add_faults(sharded)
     sharded.add_argument("--gossip-staleness", type=float, default=None,
                          help="age after which a peer's gossiped γ̂ is "
                               "relayed as the pessimistic 1.0")
@@ -612,12 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(0: disabled)")
     sharded.add_argument("--no-migrate", action="store_true",
                          help="freeze the initial device→site assignment")
-    sharded.add_argument("--trace", type=str, default=None, metavar="DIR",
-                         help="write manifest/events/spans/metrics to DIR")
-    sharded.add_argument("--serve-metrics", type=int, default=None,
-                         metavar="PORT",
-                         help="serve a live Prometheus /metrics endpoint "
-                              "on localhost:PORT while the run lasts")
+    _add_observability(sharded)
     sharded.set_defaults(func=cmd_sharded)
 
     serve = subparsers.add_parser(
@@ -627,11 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "POST /decide queries from the compiled kernel at "
                     "the current γ̂, with admission control and "
                     "/state, /healthz, /metrics endpoints.")
-    serve.add_argument("--scenario", default="paper-theoretical",
-                       help="named scenario (see `scenarios` subcommand)")
-    serve.add_argument("--users", type=int, default=5000,
-                       help="population size (default 5000)")
-    serve.add_argument("--seed", type=int, default=0)
+    _add_common(serve)
     serve.add_argument("--port", type=int, default=8080,
                        help="listen port (0: ephemeral, default 8080)")
     serve.add_argument("--host", default="127.0.0.1")
@@ -645,8 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--duration", type=float, default=0.0,
                        help="serve for N seconds then exit "
                             "(default 0: until interrupted)")
-    serve.add_argument("--trace", type=str, default=None, metavar="DIR",
-                       help="write manifest/events/spans/metrics to DIR")
+    _add_observability(serve, live_metrics=False)
     serve.set_defaults(func=cmd_serve)
 
     replay = subparsers.add_parser(

@@ -20,11 +20,13 @@ uniformized-CTMC fast path (:mod:`repro.simulation.fastpath`): the
 ``learning`` windows run vectorized, and ``table3`` gains a simulated
 DTU-cost cross-check next to the closed-form number.
 
-``--trace DIR`` turns the whole run into an observed run: a
-:class:`~repro.obs.manifest.RunManifest`, an ``events.jsonl`` event trace,
-a ``spans.jsonl`` causal-span log and a ``metrics.json`` snapshot land in
-DIR, summarisable afterwards with ``python -m repro.obs.report DIR`` (span
-trees: ``python -m repro.obs.spans DIR``; live tail:
+``--trace DIR`` turns the whole run into an observed run (through
+:func:`repro.obs.observed_run`, the scaffold every observed entry point
+shares): a :class:`~repro.obs.manifest.RunManifest` of every parsed
+argument, an ``events.jsonl`` event trace, a ``spans.jsonl`` causal-span
+log and a ``metrics.json`` snapshot land in DIR, summarisable afterwards
+with ``python -m repro.obs.report DIR`` (span trees:
+``python -m repro.obs.spans DIR``; live tail:
 ``python -m repro.obs.watch DIR --follow``). ``--metrics`` prints the
 metrics table at the end without writing files; ``--serve-metrics PORT``
 additionally exposes the live registry as a Prometheus ``/metrics``
@@ -43,15 +45,7 @@ import argparse
 import sys
 import time
 
-from repro.obs import (
-    NULL_RECORDER,
-    MetricsRegistry,
-    ObsRecorder,
-    RunManifest,
-    StructuredLogger,
-    Tracer,
-    use_recorder,
-)
+from repro.obs import StructuredLogger, observed_run, use_recorder
 from repro.experiments import (
     ablations,
     edge_model,
@@ -210,84 +204,43 @@ def main(argv=None) -> int:
         export_dir = Path(args.export)
         export_dir.mkdir(parents=True, exist_ok=True)
 
-    # --- observability: --trace writes a full trace directory, --metrics
-    # collects in memory only; both flow through one ObsRecorder.
-    recorder = NULL_RECORDER
-    tracer = None
-    trace_dir = None
-    spans = None
-    if args.trace is not None:
-        from pathlib import Path
-
-        from repro.obs.spans import SpanCollector
-        trace_dir = Path(args.trace)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest.capture(
-            seed=args.seed,
-            config={"full": args.full, "artifacts": selected},
-        )
-        manifest.save(trace_dir / "manifest.json")
-        tracer = Tracer(trace_dir / "events.jsonl", run_id=manifest.run_id)
-        spans = SpanCollector(trace_dir / "spans.jsonl")
-        recorder = ObsRecorder(MetricsRegistry(), tracer, spans=spans)
-    elif args.metrics or args.serve_metrics is not None:
-        recorder = ObsRecorder(MetricsRegistry())
-
-    server = None
-    if args.serve_metrics is not None:
-        from repro.obs.serve import MetricsServer
-        server = MetricsServer(recorder.registry.snapshot,
-                               port=args.serve_metrics).start()
-        if not args.quiet:
-            print(f"serving live metrics at {server.url}")
-
     profiler = None
     if args.profile:
         from repro.obs.profile import Profiler
         profiler = Profiler()
 
-    log = StructuredLogger(quiet=args.quiet, recorder=recorder)
-    try:
-        with use_recorder(recorder):
-            for name in selected:
-                started = time.perf_counter()
+    # --trace writes a full trace directory, --metrics collects in memory
+    # only, --serve-metrics exports the registry; one recorder feeds all.
+    with observed_run(args.seed, args, args.trace, args.serve_metrics,
+                      metrics=args.metrics, quiet=args.quiet) as recorder, \
+            use_recorder(recorder):
+        log = StructuredLogger(quiet=args.quiet, recorder=recorder)
+        for name in selected:
+            started = time.perf_counter()
+            if profiler is not None:
+                profiler.start()
+            try:
+                result = jobs[name]()
+            finally:
                 if profiler is not None:
-                    profiler.start()
-                try:
-                    result = jobs[name]()
-                finally:
-                    if profiler is not None:
-                        profiler.stop()
-                elapsed = time.perf_counter() - started
-                if recorder.enabled:
-                    recorder.observe("experiments.artifact_seconds", elapsed)
-                    recorder.event("artifact.completed", name=name,
-                                   seconds=elapsed)
-                log.section(f"[{name}] ({elapsed:.1f}s)")
-                log.raw(str(result))
-                if export_dir is not None:
-                    _export(result, name, export_dir)
-    finally:
-        if server is not None:
-            server.stop()
-        if spans is not None:
-            spans.finish()
-            spans.close()
-        if tracer is not None:
-            recorder.registry.save(trace_dir / "metrics.json")
-            tracer.close()
-    if args.metrics and recorder.enabled:
-        rendered = recorder.registry.render()
-        if rendered:
-            print(f"\n{rendered}")
-    if profiler is not None:
-        print(f"\n{profiler.render()}")
-        if trace_dir is not None:
-            profiler.save(trace_dir)
-    if trace_dir is not None and not args.quiet:
-        print(f"\ntrace written to {trace_dir} "
-              f"(summarise with: python -m repro.obs.report {trace_dir}; "
-              f"span trees with: python -m repro.obs.spans {trace_dir})")
+                    profiler.stop()
+            elapsed = time.perf_counter() - started
+            if recorder.enabled:
+                recorder.observe("experiments.artifact_seconds", elapsed)
+                recorder.event("artifact.completed", name=name,
+                               seconds=elapsed)
+            log.section(f"[{name}] ({elapsed:.1f}s)")
+            log.raw(str(result))
+            if export_dir is not None:
+                _export(result, name, export_dir)
+        if args.metrics:
+            rendered = recorder.registry.render()
+            if rendered:
+                print(f"\n{rendered}")
+        if profiler is not None:
+            print(f"\n{profiler.render()}")
+            if args.trace is not None:
+                profiler.save(args.trace)
     return 0
 
 

@@ -45,7 +45,7 @@ from repro.net.clock import Runtime
 from repro.net.messages import MessageLog
 from repro.net.transport import FaultConfig, FaultyTransport, LocalTransport
 from repro.obs.context import resolve_recorder
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import Recorder, finish_spans
 from repro.population.sampler import Population
 from repro.runtime.task import derive_seeds
 from repro.utils.rng import SeedLike
@@ -234,12 +234,7 @@ def run_fleet(
     runtime.run([coordinator.run() for coordinator in coordinators]
                 + [start_devices()], until=horizon)
 
-    obs = resolve_recorder(recorder)
-    spans = getattr(obs, "spans", None)
-    if spans is not None and spans.open_count:
-        cancelled = spans.finish(virtual_time=runtime.now)
-        obs.count("spans.closed", cancelled)
-        obs.count("spans.faulted", cancelled)
+    finish_spans(resolve_recorder(recorder), runtime.now)
 
 
 def run_net_dtu(

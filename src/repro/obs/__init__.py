@@ -9,9 +9,14 @@ The subsystem has four layers:
   reproducibility envelope (seed, config, git SHA, environment);
 * **recording** — the :class:`Recorder` facade instrumented code calls.
   The default is the zero-overhead :data:`NULL_RECORDER`; an
-  :class:`ObsRecorder` fans out to a registry and tracer. The ambient
-  recorder (:func:`get_recorder` / :func:`use_recorder`) lets a CLI flag
-  switch the whole process on without threading arguments everywhere;
+  :class:`ObsRecorder` fans out to a registry, a tracer and a
+  thread-safe span collector. The ambient recorder
+  (:func:`get_recorder` / :func:`use_recorder`) lets a CLI flag switch
+  the whole process on without threading arguments everywhere, and
+  :func:`observed_run` is the one run scaffold every CLI entry point
+  (``repro net``/``sharded``/``serve``, ``repro.experiments``) opens and
+  closes its trace directory, spans and live exporter through — its
+  manifest records every parsed argument;
 * **reporting** — :func:`repro.obs.report.summarize` (also
   ``python -m repro.obs.report DIR``) renders a trace directory back into
   ASCII tables.
@@ -47,6 +52,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import Profiler, render_hotspots
 from repro.obs.recorder import NULL_RECORDER, NullRecorder, ObsRecorder, Recorder
+from repro.obs.run import observed_run
 from repro.obs.serve import MetricsServer, prometheus_text
 from repro.obs.tracer import Tracer, new_run_id, read_events
 
@@ -97,6 +103,7 @@ __all__ = [
     "get_recorder",
     "git_revision",
     "new_run_id",
+    "observed_run",
     "prometheus_text",
     "read_events",
     "read_spans",

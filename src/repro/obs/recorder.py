@@ -155,3 +155,17 @@ class ObsRecorder:
     def __repr__(self) -> str:
         traced = self.tracer.path if self.tracer is not None else None
         return f"ObsRecorder(tracer={str(traced)!r})"
+
+
+def finish_spans(recorder: Recorder,
+                 virtual_time: Optional[float] = None) -> None:
+    """Close ``recorder``'s still-open spans as ``cancelled`` and count them.
+
+    Called where a run ends, so every span log balances; a no-op without
+    a span collector.
+    """
+    spans = getattr(recorder, "spans", None)
+    if spans is not None and spans.open_count:
+        cancelled = spans.finish(virtual_time=virtual_time)
+        recorder.count("spans.closed", cancelled)
+        recorder.count("spans.faulted", cancelled)

@@ -36,6 +36,7 @@ import argparse
 import io
 import json
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,7 +109,9 @@ class SpanCollector:
     ``path`` attaches a JSONL sink: each span is written once, when it
     closes, so a live run's ``spans.jsonl`` can be tail-followed. All
     spans are also kept in memory (ordered by id) for in-process
-    assertions and rendering.
+    assertions and rendering. One lock guards the id counter, the span
+    table and the sink, so threads may share a collector: ids stay
+    unique and no two lines interleave.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
@@ -116,6 +119,7 @@ class SpanCollector:
         self._open: set = set()
         self._next_id = 0
         self._epoch = time.monotonic()
+        self._lock = threading.Lock()
         self._file: Optional[io.TextIOWrapper] = None
         self.path = Path(path) if path is not None else None
         if self.path is not None:
@@ -137,19 +141,20 @@ class SpanCollector:
         trace — for roots), so a whole causal tree shares one id without
         every call site threading it through.
         """
-        if trace is None:
-            parent_span = self._spans.get(parent) if parent is not None \
-                else None
-            trace = parent_span.trace if parent_span is not None else 0
-        span_id = self._next_id
-        self._next_id += 1
-        self._spans[span_id] = Span(
-            id=span_id, name=name, trace=int(trace), parent=parent,
-            t_start=float(virtual_time),
-            wall_start=time.monotonic() - self._epoch,
-            tags=dict(tags),
-        )
-        self._open.add(span_id)
+        with self._lock:
+            if trace is None:
+                parent_span = self._spans.get(parent) \
+                    if parent is not None else None
+                trace = parent_span.trace if parent_span is not None else 0
+            span_id = self._next_id
+            self._next_id += 1
+            self._spans[span_id] = Span(
+                id=span_id, name=name, trace=int(trace), parent=parent,
+                t_start=float(virtual_time),
+                wall_start=time.monotonic() - self._epoch,
+                tags=dict(tags),
+            )
+            self._open.add(span_id)
         return span_id
 
     def end(
@@ -162,6 +167,33 @@ class SpanCollector:
         """Close a span (no-op for ``None`` ids, so call sites stay flat)."""
         if span_id is None:
             return
+        with self._lock:
+            self._close(span_id, status, virtual_time, tags)
+
+    def finish(self, virtual_time: Optional[float] = None,
+               status: str = "cancelled") -> int:
+        """Close every still-open span (in id order); returns the count.
+
+        Called when a run ends: messages still in flight at the horizon
+        and half-finished rounds become ``cancelled`` spans instead of
+        dangling ones.
+        """
+        with self._lock:
+            leftover = sorted(self._open)
+            for span_id in leftover:
+                self._close(span_id, status, virtual_time, {})
+        return len(leftover)
+
+    def close(self) -> None:
+        """Flush and release the JSONL sink (spans stay in memory)."""
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
+
+    def _close(self, span_id: int, status: str,
+               virtual_time: Optional[float], tags: dict) -> None:
+        """Close one open span and write it (the caller holds the lock)."""
         span = self._spans.get(span_id)
         if span is None or not span.open:
             raise ValueError(f"span {span_id} is not open")
@@ -172,28 +204,6 @@ class SpanCollector:
         if tags:
             span.tags.update(tags)
         self._open.discard(span_id)
-        self._write(span)
-
-    def finish(self, virtual_time: Optional[float] = None,
-               status: str = "cancelled") -> int:
-        """Close every still-open span (in id order); returns the count.
-
-        Called when a run ends: messages still in flight at the horizon
-        and half-finished rounds become ``cancelled`` spans instead of
-        dangling ones.
-        """
-        leftover = sorted(self._open)
-        for span_id in leftover:
-            self.end(span_id, status=status, virtual_time=virtual_time)
-        return len(leftover)
-
-    def close(self) -> None:
-        """Flush and release the JSONL sink (spans stay in memory)."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def _write(self, span: Span) -> None:
         if self._file is not None:
             self._file.write(
                 json.dumps(span.as_record(), default=_json_default) + "\n")
@@ -202,7 +212,8 @@ class SpanCollector:
     @property
     def spans(self) -> List[Span]:
         """All spans, ordered by id (open ones included)."""
-        return [self._spans[i] for i in sorted(self._spans)]
+        with self._lock:
+            return [self._spans[i] for i in sorted(self._spans)]
 
     @property
     def open_count(self) -> int:

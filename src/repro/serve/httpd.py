@@ -40,22 +40,23 @@ since it was last served — γ̂ crossed one of the device's breakpoints —
 is rendered again.  ``serve.rows_rendered`` on ``/metrics`` counts those,
 beside ``serve.decisions``.
 
-Request spans: constructed with ``spans=SpanCollector(...)``, the server
-records one ``serve.decide`` span per admitted request (wall time as the
-span clock, status ``ok``/``error``) and one instant ``serve.shed`` span
-per rejection — handler threads share the collector behind a lock, which
-is why the collector is owned here and **not** handed to the coordinator.
+Request spans go through the service's recorder, the one its coordinator
+records ``coordinator.broadcast`` round spans with: one ``serve.decide``
+span per admitted request (wall time as the span clock, status
+``ok``/``error``) and one instant ``serve.shed`` span per rejection.  The
+recorder's span collector is thread-safe, so handler threads and the
+loop thread share it; without a collector (no ``--trace``) the calls
+are no-ops.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.obs.serve import prometheus_text
-from repro.obs.spans import SpanCollector
 from repro.serve.service import Decisions, DecisionService
 from repro.utils.httpd import HttpDaemon, QuietHandler
 
@@ -149,11 +150,13 @@ class _Handler(QuietHandler):
 
     def _decide(self, server: "DecisionServer", length: int) -> None:
         service = server.service
+        obs, driver = service.recorder, service.driver
         if not service.admission.try_enter():
             # keep-alive safety: never strand body bytes
             self.drain_body(length)
             service.registry.inc("serve.shed")
-            server.span_instant("serve.shed")
+            shed = obs.span_start("serve.shed", virtual_time=driver.now)
+            obs.span_end(shed, "shed", virtual_time=driver.now)
             self.send_json(
                 503, {"error": "overloaded, retry later", "shed": True},
                 extra_headers={
@@ -161,41 +164,36 @@ class _Handler(QuietHandler):
             )
             return
         try:
-            span = server.span_begin("serve.decide")
-            try:
-                body = self.read_json_body(length)
-            except ValueError as error:
+            span = obs.span_start("serve.decide", virtual_time=driver.now)
+            status, document = self._answer(service, length)
+            if status == 200:
+                obs.span_end(span, "ok", virtual_time=driver.now,
+                             batch=document.devices.size)
+            else:
                 service.registry.inc("serve.errors")
-                server.span_close(span, "error")
-                self.send_json(400, {"error": str(error)})
-                return
-            devices = self._extract_devices(body)
-            if devices is None:
-                service.registry.inc("serve.errors")
-                server.span_close(span, "error")
-                self.send_json(400, {
-                    "error": "body must carry \"device\": int or "
-                             "\"devices\": [int, ...]"})
-                return
-            batch = 1 if isinstance(devices, int) else len(devices)
-            if batch > service.config.max_batch:
-                service.registry.inc("serve.errors")
-                server.span_close(span, "error")
-                self.send_json(413, {
-                    "error": f"batch of {batch} exceeds max_batch="
-                             f"{service.config.max_batch}"})
-                return
-            try:
-                payload = service.decide(devices)
-            except ValueError as error:
-                service.registry.inc("serve.errors")
-                server.span_close(span, "error")
-                self.send_json(400, {"error": str(error)})
-                return
-            server.span_close(span, "ok", batch=batch)
-            self.send_json(200, payload)
+                obs.span_end(span, "error", virtual_time=driver.now)
+            self.send_json(status, document)
         finally:
             service.admission.exit()
+
+    def _answer(self, service: DecisionService, length: int):
+        """``(status, document)`` for one admitted ``/decide`` request."""
+        try:
+            body = self.read_json_body(length)
+        except ValueError as error:
+            return 400, {"error": str(error)}
+        devices = self._extract_devices(body)
+        if devices is None:
+            return 400, {"error": "body must carry \"device\": int or "
+                                  "\"devices\": [int, ...]"}
+        batch = 1 if isinstance(devices, int) else len(devices)
+        if batch > service.config.max_batch:
+            return 413, {"error": f"batch of {batch} exceeds max_batch="
+                                  f"{service.config.max_batch}"}
+        try:
+            return 200, service.decide(devices)
+        except ValueError as error:
+            return 400, {"error": str(error)}
 
     def _membership(self, server: "DecisionServer", length: int,
                     joining: bool) -> None:
@@ -252,11 +250,8 @@ class DecisionServer:
     """
 
     def __init__(self, service: DecisionService, port: int = 0,
-                 host: str = "127.0.0.1",
-                 spans: Optional[SpanCollector] = None):
+                 host: str = "127.0.0.1"):
         self.service = service
-        self.spans = spans
-        self._span_lock = threading.Lock()
         n = service.population.size
         width = len(_ROW.replace(b"%a", b"") % (
             n - 1, service.kernel.stats.max_threshold)) + 2 * _REPR_WIDTH
@@ -297,25 +292,6 @@ class DecisionServer:
                                           float(moved.size))
         return _body(decisions, rows.tolist())
 
-    # -- span plumbing (handler threads share one collector) ---------------
-
-    def span_begin(self, name: str) -> Optional[int]:
-        if self.spans is None:
-            return None
-        with self._span_lock:
-            return self.spans.start(
-                name, virtual_time=self.service.driver.now)
-
-    def span_close(self, span: Optional[int], status: str, **tags) -> None:
-        if span is None or self.spans is None:
-            return
-        with self._span_lock:
-            self.spans.end(span, status=status,
-                           virtual_time=self.service.driver.now, **tags)
-
-    def span_instant(self, name: str) -> None:
-        self.span_close(self.span_begin(name), "shed")
-
     def metrics_text(self) -> str:
         registry = self.service.registry
         coordinator = self.service.coordinator
@@ -340,19 +316,23 @@ class DecisionServer:
         return self._daemon.running
 
     def start(self) -> "DecisionServer":
-        """Start the service (if needed), then the HTTP listener."""
+        """Start the service (if needed), then the HTTP listener.
+
+        A listener that cannot bind (:class:`OSError`) stops the service
+        before the error propagates, so no coordinator outlives it.
+        """
         if not self.service._started:
             self.service.start()
-        self._daemon.start()
+        try:
+            self._daemon.start()
+        except OSError:
+            self.service.stop()
+            raise
         return self
 
     def stop(self) -> None:
         self._daemon.stop()
         self.service.stop()
-        if self.spans is not None:
-            with self._span_lock:
-                self.spans.finish(virtual_time=self.service.driver.now)
-                self.spans.close()
 
     def __enter__(self) -> "DecisionServer":
         return self.start()

@@ -68,7 +68,7 @@ from repro.core.kernels import (
 from repro.net.actors import EDGE_ADDRESS, EdgeCoordinator, FleetResponses
 from repro.net.messages import JoinLeave, ReportBatch
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import ObsRecorder, Recorder
+from repro.obs.recorder import ObsRecorder, Recorder, finish_spans
 from repro.population.sampler import Population
 from repro.serve.wallclock import WallClockDriver, WallClockTransport
 from repro.simulation.online import WindowedRateEstimator
@@ -360,13 +360,14 @@ class DecisionService:
             else check_kernel(kernel, population, delay_model)
         self.delay_model = self.kernel.delay_model
         # The registry always exists (it feeds /metrics); tracer/spans
-        # arrive via an explicit recorder from the caller.
+        # arrive via an explicit recorder from the caller.  The
+        # coordinator and the HTTP handlers share this one recorder.
         if recorder is not None and getattr(recorder, "enabled", False):
-            self._obs = recorder
+            self.recorder = recorder
             self.registry = getattr(recorder, "registry", MetricsRegistry())
         else:
             self.registry = MetricsRegistry()
-            self._obs = ObsRecorder(self.registry)
+            self.recorder = ObsRecorder(self.registry)
         self.driver = WallClockDriver()
         self.transport = WallClockTransport(self.driver, record_log=False)
         self.coordinator = ServingCoordinator(
@@ -375,7 +376,7 @@ class DecisionService:
             devices=range(population.size),
             capacity=population.capacity,
             config=self.config.protocol(),
-            recorder=self._obs,
+            recorder=self.recorder,
             responses=FleetResponses(self.kernel),
         )
         self.admission = AdmissionController(self.config.watermark)
@@ -398,17 +399,19 @@ class DecisionService:
         if self._started:
             raise RuntimeError("service already started")
         self._started = True
-        self._obs.event("serve.start", n_users=self.population.size,
-                        round_period=self.config.round_period,
-                        watermark=self.config.watermark)
+        self.recorder.event("serve.start", n_users=self.population.size,
+                            round_period=self.config.round_period,
+                            watermark=self.config.watermark)
         self.driver.start([self.coordinator.run()])
         return self
 
     def stop(self) -> None:
         if self._started:
             self.driver.stop()
-            self._obs.event("serve.stop", rounds=self.coordinator.round,
-                            gamma_hat=self.coordinator.stepper.estimate)
+            finish_spans(self.recorder, self.driver.now)
+            self.recorder.event("serve.stop",
+                                rounds=self.coordinator.round,
+                                gamma_hat=self.coordinator.stepper.estimate)
 
     def __enter__(self) -> "DecisionService":
         return self.start()
