@@ -12,9 +12,12 @@ unordered asyncio primitive:
 * every wait goes through :meth:`Runtime.sleep`, and every wake-up and
   message delivery is an entry on **one** event heap ordered by
   ``(virtual time, insertion sequence)``;
-* the driver pops one event, advances the virtual clock and fires the
-  callback.  A delivery runs the destination's handler inside the event
-  (a device answers there; a coordinator's :class:`Mailbox` buffers).
+* the driver pops one ``(time, seq, action, arg)`` entry, advances the
+  virtual clock and calls ``action(arg)``.  A delivery's entry is the
+  transport's bound delivery method and the envelope itself, so a message
+  in flight costs one tuple on the heap and nothing else; it runs the
+  destination's handler inside the event (a device answers there; a
+  coordinator's :class:`Mailbox` buffers).
   Only after a :meth:`Runtime.sleep` timer does the driver yield, exactly
   once: the woken task runs its synchronous segment to its next
   ``await``, during which it may only *push* future events.  So when
@@ -36,8 +39,20 @@ from collections import deque
 from typing import Any, Callable, Coroutine, List, Optional, Sequence
 
 
+def _call(action: Callable[[], Any]) -> None:
+    action()
+
+
 class VirtualClock:
-    """A monotone virtual clock over a ``(time, seq, action)`` heap."""
+    """A monotone virtual clock over a ``(time, seq, action, arg)`` heap.
+
+    The driver calls ``action(arg)`` at ``time``; ``seq`` breaks ties in
+    insertion order.  :meth:`call_at` files a zero-argument callback as
+    ``(when, seq, _call, callback)``.  The message path skips it:
+    :class:`~repro.net.transport.LocalTransport` pushes
+    ``(delivered_at, seq, deliver, envelope)`` itself, with the same time
+    check and a sequence number drawn from the same counter.
+    """
 
     def __init__(self, start_time: float = 0.0):
         self.now = float(start_time)
@@ -50,7 +65,8 @@ class VirtualClock:
             raise ValueError(
                 f"cannot schedule at t={when} (current time is {self.now})"
             )
-        heapq.heappush(self._heap, (float(when), next(self._seq), action))
+        heapq.heappush(self._heap,
+                       (float(when), next(self._seq), _call, action))
 
     def call_later(self, delay: float, action: Callable[[], Any]) -> None:
         """Schedule ``action`` ``delay`` virtual time units from now."""
@@ -151,11 +167,11 @@ class Runtime:
                     if not heap:
                         break
                     continue
-                when, _, action = heapq.heappop(heap)
+                when, _, action, arg = heapq.heappop(heap)
                 if until is not None and when > until:
                     break
                 self.clock.now = when
-                action()
+                action(arg)
                 self.events_fired += 1
                 if self._woken:
                     # One yield: the woken task runs to its next await.

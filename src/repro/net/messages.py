@@ -54,9 +54,13 @@ class GammaBroadcast:
     step: float         # current η (diagnostic, lets devices reason about it)
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """A device's best response to the latest broadcast it received."""
+class ThresholdReport(NamedTuple):
+    """A device's best response to the latest broadcast it received.
+
+    A named tuple, like :class:`Envelope`: every device builds one per
+    broadcast it answers, and a tuple builds in under half a frozen
+    dataclass's time.  Its fields are read-only all the same.
+    """
 
     device: int
     round: int          # the broadcast round being answered
@@ -166,7 +170,9 @@ class Envelope(NamedTuple):
     """A message in flight, stamped by the transport.
 
     A named tuple, not a dataclass: one is built per message, and a
-    tuple is the cheapest immutable record to build and collect.
+    tuple is the cheapest immutable record to build and collect.  It is
+    the only record a message in flight adds besides its heap entry (see
+    :class:`~repro.net.transport.LocalTransport`).
 
     ``span`` is the id of the causal span the transport opened for this
     delivery (see :mod:`repro.obs.spans`); ``None`` when span tracing is

@@ -28,8 +28,8 @@ yields an identical message log.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Callable, Optional, Protocol, Tuple
 
 from repro.net.clock import Runtime
@@ -64,7 +64,14 @@ class Transport(Protocol):
 
 class LocalTransport:
     """In-process delivery over the virtual clock — reliable and ordered
-    (ties broken by send sequence)."""
+    (ties broken by send sequence).
+
+    A message in flight is one :class:`~repro.net.messages.Envelope` and
+    one ``(delivered_at, seq, deliver, envelope)`` entry on the clock's
+    heap, where ``deliver`` is this transport's delivery method, bound
+    once.  A send whose delivery time is before now or NaN raises
+    :class:`ValueError` before anything is logged, counted or traced.
+    """
 
     def __init__(self, runtime: Runtime, record_log: bool = True,
                  recorder: Optional[Recorder] = None):
@@ -73,6 +80,8 @@ class LocalTransport:
         self._handlers: dict = {}
         self._seq = itertools.count()
         self._obs = resolve_recorder(recorder)
+        # Bound once: every heap entry this transport pushes shares it.
+        self._deliver_one = self._deliver
 
     def register(self, address: Address, handler: Handler) -> None:
         self._handlers[address] = handler
@@ -86,35 +95,51 @@ class LocalTransport:
               now: float, delivered_at: float,
               parent: Optional[int]) -> None:
         """Stamp, log and schedule one copy of a message."""
+        if not delivered_at >= now:       # NaN fails this too
+            raise ValueError(f"cannot schedule at t={delivered_at} "
+                             f"(current time is {now})")
         seq = next(self._seq)
         span = None
-        if self._obs.enabled:
-            span = self._obs.span_start(
+        obs = self._obs
+        if obs.enabled:
+            span = obs.span_start(
                 f"msg.{type(message).__name__}", parent=parent,
                 virtual_time=now, src=str(src), dst=str(dst), seq=seq,
             )
+            obs.count("net.messages_sent")
         envelope = Envelope(seq, src, dst, now, delivered_at, message, span)
-        self.log.record("sent", envelope)
-        if self._obs.enabled:
-            self._obs.count("net.messages_sent")
-        self.runtime.clock.call_at(delivered_at,
-                                   partial(self._deliver, envelope))
+        log = self.log
+        if log.record_entries:
+            log.record("sent", envelope)
+        else:
+            log.counts["sent"] += 1
+        clock = self.runtime.clock
+        heappush(clock._heap, (delivered_at, next(clock._seq),
+                               self._deliver_one, envelope))
 
     def _deliver(self, envelope: Envelope) -> None:
         handler = self._handlers.get(envelope.dst)
+        log = self.log
         if handler is None:
-            self.log.record("unroutable", envelope, delivered=False)
+            if log.record_entries:
+                log.record("unroutable", envelope, delivered=False)
+            else:
+                log.counts["unroutable"] += 1
             if envelope.span is not None:
                 self._obs.span_end(envelope.span, status="unroutable",
                                    virtual_time=envelope.delivered_at)
             return
-        self.log.record("delivered", envelope)
-        if self._obs.enabled:
-            self._obs.count("net.messages_delivered")
-            self._obs.observe("net.delivery_latency", envelope.latency)
+        if log.record_entries:
+            log.record("delivered", envelope)
+        else:
+            log.counts["delivered"] += 1
+        obs = self._obs
+        if obs.enabled:
+            obs.count("net.messages_delivered")
+            obs.observe("net.delivery_latency", envelope.latency)
         if envelope.span is not None:
-            self._obs.span_end(envelope.span, status="delivered",
-                               virtual_time=envelope.delivered_at)
+            obs.span_end(envelope.span, status="delivered",
+                         virtual_time=envelope.delivered_at)
         handler(envelope)
 
 
@@ -160,7 +185,12 @@ class FaultConfig:
 class FaultyTransport:
     """A :class:`LocalTransport` wrapper injecting seeded
     loss/delay/duplication/partitions: ``send`` draws a message's fate
-    and posts the surviving copies itself."""
+    and posts the surviving copies itself.
+
+    A send whose earliest delivery time (``delay`` plus the base latency;
+    jitter only adds) is before now or NaN raises :class:`ValueError`
+    before any fault draw, whatever the fate it would have drawn.
+    """
 
     def __init__(self, inner: LocalTransport, faults: FaultConfig,
                  seed: SeedLike = 0, recorder: Optional[Recorder] = None):
@@ -178,33 +208,42 @@ class FaultyTransport:
              delay: float = 0.0, parent: Optional[int] = None) -> None:
         faults = self.faults
         now = self.runtime.clock.now
+        # Jitter only adds, so no copy can arrive before ``earliest``.
+        earliest = now + (delay + faults.latency)
+        if not earliest >= now:
+            raise ValueError(f"cannot schedule at t={earliest} "
+                             f"(current time is {now})")
         for partition in faults.partitions:
             if partition.blocks(src, dst, now):
                 self._drop("partitioned", src, dst, message, now, parent)
                 return
-        if faults.loss > 0.0 and self.rng.random() < faults.loss:
+        rng = self.rng
+        if faults.loss > 0.0 and rng.random() < faults.loss:
             self._drop("dropped", src, dst, message, now, parent)
             return
+        jitter = faults.jitter
+        extra = rng.exponential(jitter) if jitter > 0.0 else 0.0
         post = self.inner._post
-        post(src, dst, message, now, now + (delay + self._delay()), parent)
-        if faults.duplicate > 0.0 and self.rng.random() < faults.duplicate:
+        post(src, dst, message, now, now + (delay + (faults.latency + extra)),
+             parent)
+        if faults.duplicate > 0.0 and rng.random() < faults.duplicate:
             self.log.counts["duplicated"] += 1
             if self._obs.enabled:
                 self._obs.count("net.messages_duplicated")
-            post(src, dst, message, now, now + (delay + self._delay()),
-                 parent)
-
-    def _delay(self) -> float:
-        jitter = self.faults.jitter
-        extra = float(self.rng.exponential(jitter)) if jitter > 0.0 else 0.0
-        return self.faults.latency + extra
+            extra = rng.exponential(jitter) if jitter > 0.0 else 0.0
+            post(src, dst, message, now,
+                 now + (delay + (faults.latency + extra)), parent)
 
     def _drop(self, fate: str, src: Address, dst: Address,
               message: Message, now: float,
               parent: Optional[int] = None) -> None:
-        envelope = Envelope(seq=-1, src=src, dst=dst, sent_at=now,
-                            delivered_at=now, message=message)
-        self.log.record(fate, envelope, delivered=False)
+        log = self.log
+        if log.record_entries:
+            log.record(fate, Envelope(seq=-1, src=src, dst=dst, sent_at=now,
+                                      delivered_at=now, message=message),
+                       delivered=False)
+        else:
+            log.counts[fate] += 1
         if self._obs.enabled:
             self._obs.count("net.messages_dropped")
             # The message never enters the inner transport, so the fault

@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.recorder import FAULT_STATUSES as _FAULT_STATUSES
+from repro.obs.report import METRICS_FILE
 from repro.obs.tracer import _json_default
 from repro.utils.tables import format_table
 
@@ -383,7 +384,13 @@ def render(spans: List[Span], max_rounds: int = 20) -> str:
 
 
 def summarize_dir(trace_dir: Union[str, Path]) -> str:
-    """Render the ``spans.jsonl`` of a trace directory."""
+    """Render the ``spans.jsonl`` of a trace directory.
+
+    A trace with no spans is finished when its ``metrics.json`` exists
+    (the run scaffold writes it last): that renders as one line saying
+    the run recorded none.  Without it the run may still be going, and
+    that is an error.
+    """
     trace_dir = Path(trace_dir)
     if not trace_dir.is_dir():
         raise FileNotFoundError(
@@ -395,6 +402,8 @@ def summarize_dir(trace_dir: Union[str, Path]) -> str:
             f"spans enabled?)")
     spans = read_spans(path)
     if not spans:
+        if (trace_dir / METRICS_FILE).exists():
+            return f"{trace_dir}: the run finished and recorded no spans"
         raise FileNotFoundError(
             f"{path} is empty — no completed spans yet")
     return render(spans)

@@ -15,6 +15,9 @@ The contracts pinned here:
   ``coordinator.broadcast`` round spans, all closed;
 * **Threads share one collector** -- concurrent ``start``/``end`` calls
   never tear a ``spans.jsonl`` line or reuse an id;
+* **A finished trace renders** -- ``repro.obs.spans`` prints one line
+  for a finished run that opened no spans, and errors only while the
+  trace is still being written;
 * **Teardown always happens** -- a live-metrics port is closed once
   ``main`` returns, and a daemon that cannot bind its port stops its
   coordinator and exits non-zero with a one-line error;
@@ -219,6 +222,29 @@ class TestManifest:
         code, out, _ = _run(main, ["fig2", "--serve-metrics", "0"])
         assert code == 0
         _assert_port_closed(_served_port(out.splitlines()[0]))
+
+
+class TestSpansCli:
+    def test_finished_trace_without_spans_renders_one_line(self, tmp_path):
+        from repro.experiments.__main__ import main
+
+        assert _run(main, ["fig2", "--trace", str(tmp_path),
+                           "--quiet"]) == (0, "", "")
+        assert read_spans(tmp_path / "spans.jsonl") == []
+        code, out, err = _run(spans_main, [str(tmp_path)])
+        assert (code, err) == (0, "")
+        assert out == f"{tmp_path}: the run finished and recorded no spans\n"
+
+    def test_trace_still_being_written_is_an_error(self, tmp_path):
+        from repro.obs import observed_run
+
+        args = argparse.Namespace(seed=0)
+        with observed_run(0, args, trace=str(tmp_path), quiet=True):
+            assert (tmp_path / "spans.jsonl").is_file()
+            code, out, err = _run(spans_main, [str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "no completed spans yet" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestSharedCollector:

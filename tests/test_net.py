@@ -16,6 +16,8 @@ any seeded fault schedule with loss < 1 terminates with γ̂ ∈ [0, 1].
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,7 @@ from repro.net import (
     run_net_dtu,
     with_faults,
 )
+from repro.obs import ObsRecorder, SpanCollector
 from repro.population.distributions import Uniform
 from repro.population.sampler import PopulationConfig, sample_population
 
@@ -299,7 +302,137 @@ class TestFaultyTransport:
             assert logs[0] == logs[1]
 
 
+class TestThresholdReport:
+    """The report is a named tuple; its contract is the dataclass's."""
+
+    def test_keyword_construction_and_field_names(self):
+        report = ThresholdReport(device=3, round=2, threshold=1.5,
+                                 offload_rate=0.25)
+        assert report == ThresholdReport(3, 2, 1.5, 0.25)
+        assert list(inspect.signature(ThresholdReport).parameters) == [
+            "device", "round", "threshold", "offload_rate"]
+        assert (report.device, report.round, report.threshold,
+                report.offload_rate) == (3, 2, 1.5, 0.25)
+
+    def test_fields_are_read_only(self):
+        report = ThresholdReport(3, 2, 1.5, 0.25)
+        for name in ("device", "round", "threshold", "offload_rate"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, 0)
+        assert report == ThresholdReport(3, 2, 1.5, 0.25)
+
+    def test_hashable(self):
+        first = ThresholdReport(3, 2, 1.5, 0.25)
+        second = ThresholdReport(3, 2, 1.5, 0.25)
+        assert hash(first) == hash(second)
+        assert len({first, second, ThresholdReport(4, 2, 1.5, 0.25)}) == 2
+
+    def test_kind_in_log_entries_and_span_names(self):
+        runtime = Runtime()
+        spans = SpanCollector()
+        transport = LocalTransport(runtime,
+                                   recorder=ObsRecorder(spans=spans))
+        transport.register("edge", Mailbox().put)
+
+        async def device():
+            transport.send(7, "edge", ThresholdReport(7, 1, 2.0, 0.5))
+            await runtime.sleep(1.0)
+
+        runtime.run([device()])
+        assert [entry[:5] for entry in transport.log.entries] == [
+            ("sent", 0, 7, "edge", "ThresholdReport"),
+            ("delivered", 0, 7, "edge", "ThresholdReport"),
+        ]
+        assert [span.name for span in spans.spans] == ["msg.ThresholdReport"]
+
+
+class TestRejectedSend:
+    """A send whose delivery time is in the past or NaN raises before the
+    transport stamps it: no log row, count, metric, span, heap entry or
+    fault draw."""
+
+    @staticmethod
+    def _transport(faults, runtime, recorder):
+        local = LocalTransport(runtime, recorder=recorder)
+        if faults is None:
+            return local
+        return FaultyTransport(local, faults, seed=3, recorder=recorder)
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")],
+                             ids=["negative", "nan"])
+    @pytest.mark.parametrize("faults", [
+        None,
+        FaultConfig(duplicate=1.0, latency=0.5),
+        FaultConfig(loss=0.5, duplicate=1.0, jitter=2.0),
+    ], ids=["local", "faulty", "lossy-jittered"])
+    def test_rejected_send_leaves_no_trace(self, faults, delay):
+        runtime = Runtime()
+        spans = SpanCollector()
+        recorder = ObsRecorder(spans=spans)
+        transport = self._transport(faults, runtime, recorder)
+        transport.register(1, Mailbox().put)
+        rng = getattr(transport, "rng", None)
+        draws = rng.bit_generator.state if rng is not None else None
+        for _ in range(5):   # whatever fate the fault draws would pick
+            with pytest.raises(ValueError, match="cannot schedule"):
+                transport.send("edge", 1, GammaBroadcast(1, 0.5, 0.1),
+                               delay=delay)
+        if rng is not None:
+            assert rng.bit_generator.state == draws
+        assert transport.log.counts == {}
+        assert transport.log.attempted == 0
+        assert len(transport.log) == 0
+        assert recorder.registry.snapshot()["counters"] == {}
+        assert spans.open_count == 0 and len(spans) == 0
+        assert runtime.clock.pending == 0
+
+        async def sender():      # the transport still works afterwards
+            transport.send("edge", 1, GammaBroadcast(2, 0.5, 0.1))
+            await runtime.sleep(1.0)
+
+        runtime.run([sender()])
+        assert transport.log.attempted > 0
+        assert spans.open_count == 0 and len(spans) > 0
+
+
 class TestMessageLog:
+    @staticmethod
+    def _faulty_scenario(record_log: bool) -> MessageLog:
+        """Loss, duplication, jitter, a partition and an unroutable
+        address, all from one seed."""
+        runtime = Runtime()
+        faults = FaultConfig(
+            loss=0.2, duplicate=0.3, jitter=0.5,
+            partitions=(Partition(2.0, 4.0, frozenset({2})),))
+        transport = FaultyTransport(
+            LocalTransport(runtime, record_log=record_log), faults, seed=11)
+        for address in (1, 2, "edge"):
+            transport.register(address, Mailbox().put)
+
+        async def sender():
+            for round_number in range(8):
+                for device in (1, 2, 99):
+                    transport.send("edge", device,
+                                   GammaBroadcast(round_number, 0.5, 0.1))
+                    transport.send(device, "edge", ThresholdReport(
+                        device, round_number, 1.0, 0.5))
+                await runtime.sleep(1.0)
+            await runtime.sleep(10.0)
+
+        runtime.run([sender()])
+        return transport.log
+
+    def test_counts_only_log_agrees_with_entry_log(self):
+        full = self._faulty_scenario(record_log=True)
+        counted = self._faulty_scenario(record_log=False)
+        for fate in ("sent", "delivered", "dropped", "partitioned",
+                     "duplicated", "unroutable"):
+            assert full.count(fate) > 0, fate
+        assert len(full) > 0 and len(counted) == 0
+        assert counted.counts == full.counts
+        assert counted.attempted == full.attempted
+        assert counted.delivered_fraction == full.delivered_fraction
+
     def test_counts_only_mode_keeps_no_entries(self):
         log = MessageLog(record_entries=False)
         runtime = Runtime()
