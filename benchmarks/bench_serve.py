@@ -7,8 +7,9 @@ loopback port and replays seeded traffic through the real HTTP stack
 * ``single`` — closed-loop, one device per request: the per-request
   overhead floor;
 * ``batch``  — closed-loop, 1000 devices per request: the amortised
-  path, one vectorised kernel probe per request (the acceptance bar is
-  ≥10× the single-request decision throughput);
+  path, one gather of 1000 rows from the round's published fleet answer
+  per request, no kernel probe (the acceptance bar is ≥10× the
+  single-request decision throughput);
 * ``overload`` — open-loop arrivals far past a deliberately tiny
   admission watermark: shedding (503) must absorb the excess with zero
   transport errors and a bounded p99 instead of collapsing latency.
@@ -103,8 +104,9 @@ def test_serve_benchmark(once, regression_check):
     report = once(run_benchmark, quick=True)
     regression_check(report, "BENCH_serve.json")
     rows = {entry["workload"]: entry for entry in report["workloads"]}
-    # The whole point of the batched path: one vectorised probe serves
-    # 1000 devices, so decision throughput must dwarf the single path.
+    # The whole point of the batched path: one request gathers 1000 rows
+    # of the published fleet answer, so decision throughput must dwarf
+    # the single path.
     assert rows["batch"]["decisions_per_second"] >= \
         10 * rows["single"]["decisions_per_second"]
     for name in ("single", "batch"):

@@ -4,9 +4,10 @@ The other executions of Algorithm 1 in this repository (``core.dtu``,
 ``simulation.online``, ``simulation.fastpath``) share one convenient
 fiction: the edge and the devices exchange state by function call.  This
 package drops that fiction.  An :class:`~repro.net.actors.EdgeCoordinator`
-coroutine and N :class:`~repro.net.actors.DeviceAgent` delivery handlers
-run the protocol over an explicit
-:class:`~repro.net.transport.Transport` carrying typed messages, and a :class:`~repro.net.transport.FaultyTransport` plus
+round timer and N :class:`~repro.net.actors.DeviceAgent` delivery handlers
+— callbacks on one virtual-time event loop — run the protocol over an
+explicit :class:`~repro.net.transport.Transport` carrying typed messages,
+and a :class:`~repro.net.transport.FaultyTransport` plus
 :class:`~repro.net.churn.ChurnModel` subject it to seeded loss, latency,
 jitter, duplication, reordering, partitions, churn, and stragglers —
 while the :class:`~repro.net.clock.Runtime` keeps every run bit-identical
@@ -21,7 +22,7 @@ migration; CLI: ``python -m repro sharded``).
 from repro.net.actors import (EDGE_ADDRESS, DeviceAgent, EdgeCoordinator,
                               FleetResponses, NetTrace)
 from repro.net.churn import ChurnConfig, ChurnModel
-from repro.net.clock import Mailbox, Runtime, VirtualClock
+from repro.net.clock import Runtime
 from repro.net.messages import (
     Address,
     DelayProbe,
@@ -78,7 +79,6 @@ __all__ = [
     "Heartbeat",
     "JoinLeave",
     "LocalTransport",
-    "Mailbox",
     "Message",
     "MessageLog",
     "NetConfig",
@@ -93,7 +93,6 @@ __all__ = [
     "SiteCoordinator",
     "ThresholdReport",
     "Transport",
-    "VirtualClock",
     "build_devices",
     "build_transport",
     "run_net_dtu",

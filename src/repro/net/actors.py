@@ -5,19 +5,20 @@ best-responds (Lemma 1) to the **latest γ̂ broadcast it actually
 received** — which under faults may be stale, duplicated, or arbitrarily
 delayed — and reports the threshold plus the offered offload rate
 ``a_n·α_n(x_n)`` back to the edge, inside the delivery event: a device is
-a delivery handler (:meth:`DeviceAgent.deliver`), not a coroutine.
+a delivery handler (:meth:`DeviceAgent.deliver`).
 
-:class:`EdgeCoordinator` is the edge side: it broadcasts γ̂, measures the
-utilisation from the :class:`~repro.net.messages.ThresholdReport`s
-received within a sliding window, and applies the shared Eq. 4 sign step
-(:class:`repro.core.dtu.DtuStepper`).  Silence — a round with no usable
-reports at all — triggers graceful degradation: γ̂ is held, the step size
-decays, and the next broadcast backs off exponentially, so a partitioned
-edge neither diverges nor spins.  Its report table, columns over the
-fleet's device ids, is the only one: the sharded
-:class:`~repro.net.sharded.SiteCoordinator` and the serving daemon's
-:class:`~repro.serve.service.ServingCoordinator` write the same table
-(the daemon adds a batch path) and measure with the same masked
+:class:`EdgeCoordinator` is the edge side, a timer: it broadcasts γ̂ and,
+``report_timeout`` later, measures the utilisation from the
+:class:`~repro.net.messages.ThresholdReport`s received within a sliding
+window, applies the shared Eq. 4 sign step
+(:class:`repro.core.dtu.DtuStepper`) and opens the next round.  Silence —
+a round with no usable reports at all — triggers graceful degradation: γ̂
+is held, the step size decays, and the next broadcast backs off
+exponentially, so a partitioned edge neither diverges nor spins.  Its
+report table, columns over the fleet's device ids, is the only one: the
+sharded :class:`~repro.net.sharded.SiteCoordinator` and the serving
+daemon's :class:`~repro.serve.service.ServingCoordinator` write the same
+table (the daemon adds a batch path) and measure with the same masked
 reductions.
 
 A stationary device reads its row of one bracketed fleet probe per
@@ -42,7 +43,7 @@ from repro.core.dtu import DtuStepper
 from repro.core.edge_delay import EdgeDelayModel
 from repro.core.kernels import CompiledMeanField
 from repro.core.tro import offload_probability
-from repro.net.clock import Mailbox, Runtime
+from repro.net.clock import Runtime
 from repro.net.messages import (
     Envelope,
     GammaBroadcast,
@@ -187,8 +188,8 @@ class DeviceAgent:
         self.transport.send(self.address, self.edge_address,
                             JoinLeave(self.address, True))
         if self.heartbeat_interval > 0.0:
-            self.runtime.clock.call_later(self.heartbeat_interval,
-                                          self._heartbeat)
+            self.runtime.call_later(self.heartbeat_interval,
+                                    self._heartbeat)
 
     def deliver(self, envelope: Envelope) -> None:
         """The delivery handler: it runs inside the delivery event."""
@@ -276,8 +277,7 @@ class DeviceAgent:
         if self.alive:
             self.transport.send(self.address, self.edge_address,
                                 Heartbeat(self.address, self.runtime.now))
-        self.runtime.clock.call_later(self.heartbeat_interval,
-                                      self._heartbeat)
+        self.runtime.call_later(self.heartbeat_interval, self._heartbeat)
 
     def set_alive(self, alive: bool) -> None:
         """Churn hook: power the device off/on, announcing gracefully.
@@ -366,8 +366,10 @@ class EdgeCoordinator:
         self.capacity = float(capacity)
         self.config = config
         self.address = address
-        self.mailbox = Mailbox()
-        transport.register(address, self.mailbox.put)
+        #: Envelopes delivered since the last drain; ``append`` is the
+        #: transport handler.
+        self.inbox: List[Envelope] = []
+        transport.register(address, self.inbox.append)
         self.stepper = DtuStepper(
             initial_step=config.initial_step,
             tolerance=config.tolerance,
@@ -381,43 +383,56 @@ class EdgeCoordinator:
         self.silent_rounds = 0
         self.converged = False
         self.final_measured: Optional[float] = None
+        self._wait = config.report_timeout    # this round's report timeout
 
-    async def run(self) -> None:
+    def start(self) -> None:
+        """Open the first round (the coordinator's first step)."""
+        self._open_round()
+
+    def _open_round(self) -> None:
+        """Broadcast γ̂ and set the timer that closes the round, or end
+        the round loop once ``max_rounds`` broadcasts have gone out."""
+        if self.round >= self.config.max_rounds:
+            self._finish()
+            return
+        self._before_broadcast()
+        self._broadcast()
+        self.runtime.call_later(self._wait, self._close_round)
+
+    def _close_round(self) -> None:
+        """Drain, measure and sign-step (or degrade), then open the next
+        round unless the stop test ends the loop."""
         config = self.config
-        wait = config.report_timeout
-        for _ in range(config.max_rounds):
-            self._before_broadcast()
-            self._broadcast()
-            await self.runtime.sleep(wait)
-            self._drain()
-            measured = self._measure(self.runtime.now)
-            if measured is None:
-                # Graceful degradation: hold γ̂, decay η, back off, retry.
-                self.silent_rounds += 1
-                self.stepper.decay(config.silence_decay)
-                wait = min(wait * config.backoff, config.max_backoff)
-                if self._obs.enabled:
-                    self._obs.count("net.silent_rounds")
-                    self._obs.event("net.silence", round=self.round,
-                                    **self._event_tags, next_wait=wait,
-                                    eta=self.stepper.step)
-                self._close_round_span("silent")
-            else:
-                self.final_measured = measured
-                self._record(measured)
-                self._close_round_span("measured", measured=measured)
-                if self._stop_test():
-                    self.converged = True
-                    # A long-lived serving coordinator (repro.serve) keeps
-                    # re-estimating after convergence so γ̂ tracks a
-                    # changing population; the virtual-time runs stop, as
-                    # Algorithm 1 specifies.
-                    if getattr(config, "stop_on_convergence", True):
-                        break
-                self.iterations += 1
-                self.stepper.update(measured)
-                wait = config.report_timeout
-        self._finish()
+        self._drain()
+        measured = self._measure(self.runtime.now)
+        if measured is None:
+            # Graceful degradation: hold γ̂, decay η, back off, retry.
+            self.silent_rounds += 1
+            self.stepper.decay(config.silence_decay)
+            self._wait = min(self._wait * config.backoff, config.max_backoff)
+            if self._obs.enabled:
+                self._obs.count("net.silent_rounds")
+                self._obs.event("net.silence", round=self.round,
+                                **self._event_tags, next_wait=self._wait,
+                                eta=self.stepper.step)
+            self._close_round_span("silent")
+        else:
+            self.final_measured = measured
+            self._record(measured)
+            self._close_round_span("measured", measured=measured)
+            if self._stop_test():
+                self.converged = True
+                # A long-lived serving coordinator (repro.serve) keeps
+                # re-estimating after convergence so γ̂ tracks a
+                # changing population; the virtual-time runs stop, as
+                # Algorithm 1 specifies.
+                if getattr(config, "stop_on_convergence", True):
+                    self._finish()
+                    return
+            self.iterations += 1
+            self.stepper.update(measured)
+            self._wait = config.report_timeout
+        self._open_round()
 
     # -- round-loop hooks (the sharded SiteCoordinator overrides these) ---
 
@@ -466,7 +481,9 @@ class EdgeCoordinator:
             self._round_span = None
 
     def _drain(self) -> None:
-        for envelope in self.mailbox.drain():
+        inbox = self.inbox[:]
+        self.inbox.clear()     # in place: the transport holds its append
+        for envelope in inbox:
             self._handle(envelope)
 
     def _handle(self, envelope) -> None:

@@ -224,15 +224,10 @@ def run_fleet(
     if churn_model is not None:
         for device, timeline in zip(devices, churn_model.timelines):
             for when, alive_after in timeline:
-                runtime.clock.call_at(when, partial(device.set_alive,
-                                                    alive_after))
+                runtime.call_at(when, partial(device.set_alive, alive_after))
 
-    async def start_devices() -> None:
-        for device in devices:
-            device.start()
-
-    runtime.run([coordinator.run() for coordinator in coordinators]
-                + [start_devices()], until=horizon)
+    runtime.run([coordinator.start for coordinator in coordinators]
+                + [device.start for device in devices], until=horizon)
 
     finish_spans(resolve_recorder(recorder), runtime.now)
 

@@ -198,7 +198,7 @@ class ShardedDeviceAgent(DeviceAgent):
 class _ShardController:
     """Shared run bookkeeping: global convergence test and shutdown.
 
-    ``EdgeCoordinator.run`` stops the runtime when *its* loop ends; with
+    ``EdgeCoordinator._finish`` stops the runtime when *its* rounds end; with
     ``m`` coordinators the runtime must outlive all of them, and a site
     may only declare the protocol converged when every stepper is inside
     tolerance (the vector test ``run_multiedge_dtu`` applies globally).

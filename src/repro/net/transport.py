@@ -4,8 +4,8 @@
 delivery event on the runtime's virtual clock (plus any latency the caller
 adds) and records the fate in a :class:`~repro.net.messages.MessageLog`.
 The delivery event calls the handler registered for the destination
-address — a device's best response, or a coordinator's
-:meth:`~repro.net.clock.Mailbox.put` — inside the event itself.
+address — a device's best response, or the ``append`` of a coordinator's
+inbox — inside the event itself.
 
 :class:`FaultyTransport` wraps a :class:`LocalTransport` and injects, from
 one seeded generator, the failure modes a real radio/backhaul exhibits:
@@ -67,7 +67,7 @@ class LocalTransport:
     (ties broken by send sequence).
 
     A message in flight is one :class:`~repro.net.messages.Envelope` and
-    one ``(delivered_at, seq, deliver, envelope)`` entry on the clock's
+    one ``(delivered_at, seq, deliver, envelope)`` entry on the runtime's
     heap, where ``deliver`` is this transport's delivery method, bound
     once.  A send whose delivery time is before now or NaN raises
     :class:`ValueError` before anything is logged, counted or traced.
@@ -88,7 +88,7 @@ class LocalTransport:
 
     def send(self, src: Address, dst: Address, message: Message,
              delay: float = 0.0, parent: Optional[int] = None) -> None:
-        now = self.runtime.clock.now
+        now = self.runtime.now
         self._post(src, dst, message, now, now + delay, parent)
 
     def _post(self, src: Address, dst: Address, message: Message,
@@ -113,9 +113,9 @@ class LocalTransport:
             log.record("sent", envelope)
         else:
             log.counts["sent"] += 1
-        clock = self.runtime.clock
-        heappush(clock._heap, (delivered_at, next(clock._seq),
-                               self._deliver_one, envelope))
+        runtime = self.runtime
+        heappush(runtime._heap, (delivered_at, next(runtime._seq),
+                                 self._deliver_one, envelope))
 
     def _deliver(self, envelope: Envelope) -> None:
         handler = self._handlers.get(envelope.dst)
@@ -207,7 +207,7 @@ class FaultyTransport:
     def send(self, src: Address, dst: Address, message: Message,
              delay: float = 0.0, parent: Optional[int] = None) -> None:
         faults = self.faults
-        now = self.runtime.clock.now
+        now = self.runtime.now
         # Jitter only adds, so no copy can arrive before ``earliest``.
         earliest = now + (delay + faults.latency)
         if not earliest >= now:

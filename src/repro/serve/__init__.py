@@ -6,10 +6,10 @@ coordinator to the wall clock and exposes it as a persistent daemon
 serving threshold decisions over HTTP:
 
 * :class:`~repro.serve.wallclock.WallClockDriver` — the
-  :class:`repro.net.clock.Runtime` contract (``now`` / ``sleep`` /
-  ``clock.call_later`` / ``stop``) adapted to real time, so the
-  :class:`~repro.net.actors.EdgeCoordinator` coroutine runs unmodified
-  as a daemon;
+  :class:`repro.net.clock.Runtime` contract (``now`` / ``call_later`` /
+  ``call_at`` / ``stop``) adapted to real time, so the
+  :class:`~repro.net.actors.EdgeCoordinator`'s round timer runs
+  unmodified as a daemon;
 * :class:`~repro.serve.service.DecisionService` — the coordinator +
   compiled kernel pair behind a thread-safe facade: ``decide`` queries
   answered as column arrays (:class:`~repro.serve.service.Decisions`)

@@ -190,19 +190,19 @@ class ServingCoordinator(EdgeCoordinator):
       via ``/decide``, so a round opens (round counter + span) and
       publishes the fleet's answer at γ̂ from ``responses``
       (:attr:`published`, a :class:`FleetAnswer`; one is published at
-      construction too) without fanning N messages out to mailboxes that
+      construction too) without fanning N messages out to devices that
       don't exist;
     * **membership starts empty** (``joined=False``) — the provisioned
       fleet joins explicitly, or implicitly on first decide;
     * **reports are applied on arrival, a batch at a time** — the
-      coordinator's delivery handler is :meth:`_handle`, not its mailbox:
+      coordinator's delivery handler is :meth:`_handle`, not its inbox:
       each :class:`ReportBatch` goes into the base report table as it is
       delivered, with O(B) vector ops under the base rules, and every
       other message through the base's scalar writes.
 
-    The round loop, the report table, the measurement, the stepper and
+    The round timer, the report table, the measurement, the stepper and
     the degradation logic are inherited untouched; the inherited drain
-    finds the mailbox empty.
+    finds the inbox empty.
     """
 
     def __init__(self, *args, responses: FleetResponses,
@@ -402,7 +402,7 @@ class DecisionService:
         self.recorder.event("serve.start", n_users=self.population.size,
                             round_period=self.config.round_period,
                             watermark=self.config.watermark)
-        self.driver.start([self.coordinator.run()])
+        self.driver.start([self.coordinator.start])
         return self
 
     def stop(self) -> None:

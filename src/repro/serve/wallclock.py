@@ -1,25 +1,24 @@
 """Wall-clock adapters for the virtual-time actor runtime.
 
-The :mod:`repro.net` coordinator only ever touches its runtime through
-four points — ``runtime.now``, ``await runtime.sleep(d)``,
-``runtime.clock.call_later`` / ``call_at`` and ``runtime.stop()`` — plus
-a :class:`~repro.net.clock.Mailbox` that a transport fills.  That narrow
-surface is what makes the virtual-time driver deterministic, and it is
-also what makes a wall-clock bridge small: :class:`WallClockDriver`
-implements the same surface over a private asyncio loop on a daemon
-thread, so the :class:`~repro.net.actors.EdgeCoordinator` coroutine runs
-*unmodified* in real time — re-estimation rounds become wall-clock
-periods, report windows become wall-clock seconds.
+The :mod:`repro.net` actors are callbacks, and they touch their runtime
+only through ``runtime.now``, ``runtime.call_later`` / ``call_at``,
+``runtime.stop()`` and ``runtime.stopping``, plus a transport that calls
+their handlers.  That narrow surface is what makes the virtual-time
+:class:`~repro.net.clock.Runtime` deterministic, and it is also what makes
+a wall-clock bridge small: :class:`WallClockDriver` implements the same
+surface over a private asyncio loop on a daemon thread, so the
+:class:`~repro.net.actors.EdgeCoordinator`'s round timer runs *unmodified*
+in real time — re-estimation rounds become wall-clock periods, report
+windows become wall-clock seconds.
 
 Single-threaded discipline carries over: everything that mutates actor
-state (mailbox puts, transport sends, scheduled callbacks) runs on the
+state (handler calls, transport sends, scheduled callbacks) runs on the
 loop thread.  Foreign threads — HTTP request handlers — never touch an
 actor directly; they marshal closures through :meth:`WallClockDriver.submit`
 (``loop.call_soon_threadsafe``), which serialises them between the
-actors' synchronous segments exactly like virtual-clock events.  Reads
-of plain floats/ints (γ̂, round numbers) from foreign threads are safe
-under the GIL and are the only cross-thread access the serving layer
-performs.
+actors' callbacks exactly like virtual-clock events.  Reads of plain
+floats/ints (γ̂, round numbers) from foreign threads are safe under the
+GIL and are the only cross-thread access the serving layer performs.
 
 :class:`WallClockTransport` is the matching
 :class:`~repro.net.transport.Transport`: real
@@ -35,7 +34,7 @@ import asyncio
 import itertools
 import threading
 import time
-from typing import Callable, Coroutine, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.net.messages import Address, Envelope, Message, MessageLog
 from repro.net.transport import Handler
@@ -43,43 +42,25 @@ from repro.obs.context import resolve_recorder
 from repro.obs.recorder import Recorder
 
 
-class _WallClock:
-    """The ``runtime.clock`` facade: wall-time ``now`` + loop timers."""
-
-    def __init__(self, driver: "WallClockDriver"):
-        self._driver = driver
-
-    @property
-    def now(self) -> float:
-        return self._driver.now
-
-    def call_later(self, delay: float, action: Callable[[], None]) -> None:
-        self._driver.call_later(delay, action)
-
-    def call_at(self, when: float, action: Callable[[], None]) -> None:
-        self._driver.call_later(when - self._driver.now, action)
-
-
 class WallClockDriver:
-    """Runs actor coroutines against the wall clock on a daemon thread.
+    """Runs actor callbacks against the wall clock on a daemon thread.
 
-    The :class:`repro.net.clock.Runtime` contract (``now``, ``sleep``,
-    ``clock``, ``stop``, ``stopping``) over a private asyncio event loop;
-    :meth:`start` spawns the loop thread and returns once the actors are
-    scheduled, :meth:`stop` cancels them and joins the thread.
+    The :class:`repro.net.clock.Runtime` contract (``now``, ``call_at``,
+    ``call_later``, ``stop``, ``stopping``) over a private asyncio event
+    loop; :meth:`start` queues the actors' starts and spawns the loop
+    thread, :meth:`stop` stops the loop and joins the thread.  Every
+    callback runs through one guard: the first exception raised on the
+    loop thread becomes :attr:`failure` and stops the loop, so the
+    daemon never serves from a dead coordinator.
     """
 
     def __init__(self):
-        self.clock = _WallClock(self)
         self.stopping = False
         self.events_fired = 0          # Runtime parity (diagnostic only)
         self.failure: Optional[BaseException] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._epoch: Optional[float] = None
-        self._ready = threading.Event()
-        self._stop_event: Optional[asyncio.Event] = None
-        self._tasks: List[asyncio.Task] = []
 
     # -- Runtime surface ---------------------------------------------------
 
@@ -90,17 +71,13 @@ class WallClockDriver:
             return 0.0
         return time.monotonic() - self._epoch
 
-    async def sleep(self, delay: float) -> None:
-        """Suspend the calling actor for ``delay`` wall seconds."""
-        await asyncio.sleep(max(0.0, delay))
-
     def stop(self) -> None:
-        """Cancel the actors and stop the loop (idempotent, thread-safe)."""
+        """Stop the loop and join its thread (idempotent, thread-safe)."""
         self.stopping = True
-        loop, stop_event = self._loop, self._stop_event
-        if loop is not None and stop_event is not None:
+        loop = self._loop
+        if loop is not None:
             try:
-                loop.call_soon_threadsafe(stop_event.set)
+                loop.call_soon_threadsafe(loop.stop)
             except RuntimeError:     # loop already closed
                 pass
         thread = self._thread
@@ -109,43 +86,25 @@ class WallClockDriver:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self, actors: Sequence[Coroutine]) -> "WallClockDriver":
-        """Spawn the loop thread and schedule ``actors`` on it."""
+    def start(self, starts: Sequence[Callable[[], None]]) -> "WallClockDriver":
+        """Queue ``starts`` on a new loop, then spawn the loop thread."""
         if self._thread is not None:
             raise RuntimeError("driver already started")
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main(list(actors))),
-            name="repro-serve-driver", daemon=True,
-        )
+        self._loop = loop = asyncio.new_event_loop()
+        self._epoch = time.monotonic()
+        for start in starts:
+            loop.call_soon(self._guarded, start)
+        self._thread = threading.Thread(target=self._serve,
+                                        name="repro-serve-driver",
+                                        daemon=True)
         self._thread.start()
-        self._ready.wait()
         return self
 
-    async def _main(self, actors: List[Coroutine]) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._epoch = time.monotonic()
-        self._tasks = [asyncio.ensure_future(coro) for coro in actors]
-        for task in self._tasks:
-            task.add_done_callback(self._on_task_done)
-        self._ready.set()
-        await self._stop_event.wait()
-        for task in self._tasks:
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-
-    def _on_task_done(self, task: asyncio.Task) -> None:
-        if task.cancelled():
-            return
-        error = task.exception()
-        if error is not None and self.failure is None:
-            # Surface the first actor crash: remember it for state() /
-            # healthz and shut the loop down rather than serving from a
-            # dead coordinator.
-            self.failure = error
-            self.stopping = True
-            if self._stop_event is not None:
-                self._stop_event.set()
+    def _serve(self) -> None:
+        try:
+            self._loop.run_forever()
+        finally:
+            self._loop.close()
 
     # -- cross-thread marshalling -------------------------------------------
 
@@ -154,7 +113,7 @@ class WallClockDriver:
 
         The serving layer's only write path into actor state: HTTP
         handler threads package their protocol messages into a closure
-        and hand it over; the loop interleaves it between actor segments.
+        and hand it over; the loop interleaves it between actor callbacks.
         """
         loop = self._loop
         if loop is None or self.stopping:
@@ -179,11 +138,22 @@ class WallClockDriver:
             except RuntimeError:
                 pass
 
+    def call_at(self, when: float, action: Callable[[], None]) -> None:
+        """Schedule ``action`` at ``when`` wall seconds since :meth:`start`."""
+        self.call_later(when - self.now, action)
+
     def _guarded(self, action: Callable[[], None]) -> None:
         if self.stopping:
             return
         self.events_fired += 1
-        action()
+        try:
+            action()
+        except Exception as error:
+            # The loop thread's first failure is the daemon's: keep it for
+            # state() and /healthz, and stop serving from a dead actor.
+            if self.failure is None:
+                self.failure = error
+            self.stop()
 
     def __repr__(self) -> str:
         state = "stopped" if self.stopping or self._thread is None \

@@ -8,8 +8,8 @@ The two load-bearing contracts:
 * **Determinism** — the same seed yields bit-identical message logs and
   traces on every rerun, faults and churn included.
 
-Plus unit coverage of the virtual clock, mailbox, transports and their
-delivery handlers, fault injection, churn model, graceful degradation,
+Plus unit coverage of the virtual clock, transports and their delivery
+handlers, fault injection, churn model, graceful degradation,
 and a hypothesis property:
 any seeded fault schedule with loss < 1 terminates with γ̂ ∈ [0, 1].
 """
@@ -17,10 +17,16 @@ any seeded fault schedule with loss < 1 terminates with γ̂ ∈ [0, 1].
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.dtu import DtuConfig, run_dtu
 from repro.core.edge_delay import PAPER_DELAY_MODEL, ReciprocalDelay
 from repro.core.kernels import compile_mean_field
@@ -32,13 +38,11 @@ from repro.net import (
     FaultyTransport,
     GammaBroadcast,
     LocalTransport,
-    Mailbox,
     MessageLog,
     NetConfig,
     Partition,
     Runtime,
     ThresholdReport,
-    VirtualClock,
     build_devices,
     run_net_dtu,
     with_faults,
@@ -69,74 +73,52 @@ def fleet():
 
 
 # ---------------------------------------------------------------------------
-# Virtual clock and mailbox
+# Virtual clock
 # ---------------------------------------------------------------------------
 
 
 class TestVirtualClock:
     def test_events_fire_in_time_order_with_fifo_ties(self):
-        clock = VirtualClock()
-        fired = []
-        clock.call_at(2.0, lambda: fired.append("late"))
-        clock.call_at(1.0, lambda: fired.append("early"))
-        clock.call_at(1.0, lambda: fired.append("early-second"))
         runtime = Runtime()
-        runtime.clock = clock
+        fired = []
+        runtime.call_at(2.0, lambda: fired.append("late"))
+        runtime.call_at(1.0, lambda: fired.append("early"))
+        runtime.call_at(1.0, lambda: fired.append("early-second"))
 
-        async def idle():
-            await runtime.sleep(10.0)
+        def idle():
+            runtime.call_later(10.0, lambda: fired.append("idle"))
 
-        runtime.run([idle()], until=5.0)
+        runtime.run([idle], until=5.0)
         assert fired == ["early", "early-second", "late"]
 
     def test_rejects_past_and_nan(self):
-        clock = VirtualClock(start_time=5.0)
+        runtime = Runtime()
+        runtime.call_at(5.0, lambda: None)
+        runtime.run([])
+        assert runtime.now == 5.0
         with pytest.raises(ValueError):
-            clock.call_at(4.0, lambda: None)
+            runtime.call_at(4.0, lambda: None)
         with pytest.raises(ValueError):
-            clock.call_at(float("nan"), lambda: None)
+            runtime.call_at(float("nan"), lambda: None)
         with pytest.raises(ValueError):
-            clock.call_later(-1.0, lambda: None)
+            runtime.call_later(-1.0, lambda: None)
 
     def test_pending_counts_heap(self):
-        clock = VirtualClock()
-        assert clock.pending == 0
-        clock.call_later(1.0, lambda: None)
-        clock.call_later(2.0, lambda: None)
-        assert clock.pending == 2
-
-
-class TestMailbox:
-    def test_put_buffers_until_drain(self):
         runtime = Runtime()
-        box = Mailbox()
-        seen = []
-
-        async def coordinator():
-            await runtime.sleep(1.5)
-            seen.extend(box.drain())
-
-        def deliver():
-            box.put("a")
-            box.put("b")
-
-        runtime.clock.call_at(1.0, deliver)
-        runtime.run([coordinator()])
-        assert seen == ["a", "b"]
-        box.put("c")
-        box.put("d")
-        assert box.drain() == ["c", "d"]
-        assert len(box) == 0
+        assert runtime.pending == 0
+        runtime.call_later(1.0, lambda: None)
+        runtime.call_later(2.0, lambda: None)
+        assert runtime.pending == 2
 
 
 class TestRuntime:
-    def test_sleep_ordering(self):
+    def test_timer_ordering(self):
         runtime = Runtime()
         order = []
 
-        async def actor(name, delay):
-            await runtime.sleep(delay)
-            order.append((name, runtime.now))
+        def actor(name, delay):
+            return lambda: runtime.call_later(
+                delay, lambda: order.append((name, runtime.now)))
 
         runtime.run([actor("b", 2.0), actor("a", 1.0)])
         assert order == [("a", 1.0), ("b", 2.0)]
@@ -146,23 +128,27 @@ class TestRuntime:
         runtime = Runtime()
         reached = []
 
-        async def actor():
-            while True:
-                await runtime.sleep(1.0)
-                reached.append(runtime.now)
+        def tick():
+            reached.append(runtime.now)
+            runtime.call_later(1.0, tick)
 
-        runtime.run([actor()], until=3.5)
+        runtime.run([lambda: runtime.call_later(1.0, tick)], until=3.5)
         assert reached == [1.0, 2.0, 3.0]
 
     def test_actor_exception_propagates(self):
         runtime = Runtime()
+        later = []
 
-        async def bomb():
-            await runtime.sleep(1.0)
+        def bomb():
             raise ValueError("boom")
 
+        def start():
+            runtime.call_later(1.0, bomb)
+            runtime.call_later(2.0, lambda: later.append(runtime.now))
+
         with pytest.raises(ValueError, match="boom"):
-            runtime.run([bomb()])
+            runtime.run([start])
+        assert later == [] and runtime.now == 1.0     # raised at once
 
     def test_handler_exception_propagates(self):
         runtime = Runtime()
@@ -173,13 +159,25 @@ class TestRuntime:
 
         transport.register(1, bomb)
 
-        async def sender():
+        def sender():
             transport.send("edge", 1, GammaBroadcast(1, 0.5, 0.1), delay=1.0)
-            await runtime.sleep(5.0)
+            runtime.call_later(5.0, lambda: None)
 
         with pytest.raises(ValueError, match="boom"):
-            runtime.run([sender()])
+            runtime.run([sender])
         assert runtime.now == 1.0
+
+    def test_runtimes_import_no_asyncio(self):
+        """Every actor is a callback: a fresh interpreter importing the
+        virtual-time runtimes loads no asyncio."""
+        code = ("import sys\n"
+                "import repro.net, repro.net.sharded, repro.workload\n"
+                "assert 'asyncio' not in sys.modules, 'asyncio imported'\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +193,10 @@ class TestLocalTransport:
         transport.register(1, lambda envelope: received.append(
             (runtime.now, envelope.latency, envelope.message)))
 
-        async def sender():
-            await runtime.sleep(1.0)
+        def sender():
             transport.send("edge", 1, GammaBroadcast(1, 0.5, 0.1), delay=0.25)
 
-        runtime.run([sender()])
+        runtime.run([lambda: runtime.call_later(1.0, sender)])
         assert received == [(1.25, 0.25, GammaBroadcast(1, 0.5, 0.1))]
         assert transport.log.count("sent") == 1
         assert transport.log.count("delivered") == 1
@@ -208,11 +205,10 @@ class TestLocalTransport:
         runtime = Runtime()
         transport = LocalTransport(runtime)
 
-        async def sender():
+        def sender():
             transport.send("edge", 99, GammaBroadcast(1, 0.5, 0.1))
-            await runtime.sleep(1.0)
 
-        runtime.run([sender()])
+        runtime.run([sender])
         assert transport.log.count("unroutable") == 1
         assert transport.log.count("delivered") == 0
 
@@ -225,14 +221,13 @@ class TestFaultyTransport:
 
     def test_total_loss_drops_everything(self):
         runtime, transport = self._net(FaultConfig(loss=1.0))
-        transport.register(1, Mailbox().put)
+        transport.register(1, [].append)
 
-        async def sender():
+        def sender():
             for _ in range(10):
                 transport.send("edge", 1, GammaBroadcast(1, 0.5, 0.1))
-            await runtime.sleep(1.0)
 
-        runtime.run([sender()])
+        runtime.run([sender])
         assert transport.log.count("dropped") == 10
         assert transport.log.count("delivered") == 0
         assert transport.log.delivered_fraction == 0.0
@@ -240,31 +235,33 @@ class TestFaultyTransport:
     def test_partition_blocks_both_directions_inside_window(self):
         faults = FaultConfig(partitions=(Partition(1.0, 3.0, frozenset({1})),))
         runtime, transport = self._net(faults)
-        transport.register(1, Mailbox().put)
-        transport.register("edge", Mailbox().put)
+        transport.register(1, [].append)
+        transport.register("edge", [].append)
 
-        async def sender():
+        def sender():
             transport.send("edge", 1, GammaBroadcast(1, 0.5, 0.1))   # t=0: flows
-            await runtime.sleep(2.0)
+            runtime.call_later(2.0, inside)
+
+        def inside():
             transport.send("edge", 1, GammaBroadcast(2, 0.5, 0.1))   # blocked
             transport.send(1, "edge", ThresholdReport(1, 2, 0.0, 0.0))  # blocked
-            await runtime.sleep(2.0)
-            transport.send("edge", 1, GammaBroadcast(3, 0.5, 0.1))   # healed
-            await runtime.sleep(1.0)
+            runtime.call_later(2.0, healed)
 
-        runtime.run([sender()])
+        def healed():
+            transport.send("edge", 1, GammaBroadcast(3, 0.5, 0.1))   # healed
+
+        runtime.run([sender])
         assert transport.log.count("partitioned") == 2
         assert transport.log.count("delivered") == 2
 
     def test_duplication_delivers_extra_copies(self):
         runtime, transport = self._net(FaultConfig(duplicate=1.0), seed=5)
-        transport.register(1, Mailbox().put)
+        transport.register(1, [].append)
 
-        async def sender():
+        def sender():
             transport.send("edge", 1, GammaBroadcast(1, 0.5, 0.1))
-            await runtime.sleep(1.0)
 
-        runtime.run([sender()])
+        runtime.run([sender])
         assert transport.log.count("duplicated") == 1
         assert transport.log.count("delivered") == 2
 
@@ -274,12 +271,11 @@ class TestFaultyTransport:
         transport.register(
             1, lambda envelope: arrivals.append(envelope.message.round))
 
-        async def sender():
+        def sender():
             for round_number in range(20):
                 transport.send("edge", 1, GammaBroadcast(round_number, 0.5, 0.1))
-            await runtime.sleep(100.0)
 
-        runtime.run([sender()])
+        runtime.run([sender])
         assert sorted(arrivals) == list(range(20))
         assert arrivals != list(range(20))   # exponential jitter reordered
 
@@ -289,15 +285,14 @@ class TestFaultyTransport:
             for attempt in range(2):
                 runtime, transport = self._net(
                     FaultConfig(loss=0.3, duplicate=0.2, jitter=0.5), seed=9)
-                transport.register(1, Mailbox().put)
+                transport.register(1, [].append)
 
-                async def sender():
+                def sender():
                     for round_number in range(50):
                         transport.send("edge", 1,
                                        GammaBroadcast(round_number, 0.5, 0.1))
-                    await runtime.sleep(100.0)
 
-                runtime.run([sender()])
+                runtime.run([sender])
                 logs.append(transport.log)
             assert logs[0] == logs[1]
 
@@ -332,13 +327,12 @@ class TestThresholdReport:
         spans = SpanCollector()
         transport = LocalTransport(runtime,
                                    recorder=ObsRecorder(spans=spans))
-        transport.register("edge", Mailbox().put)
+        transport.register("edge", [].append)
 
-        async def device():
+        def device():
             transport.send(7, "edge", ThresholdReport(7, 1, 2.0, 0.5))
-            await runtime.sleep(1.0)
 
-        runtime.run([device()])
+        runtime.run([device])
         assert [entry[:5] for entry in transport.log.entries] == [
             ("sent", 0, 7, "edge", "ThresholdReport"),
             ("delivered", 0, 7, "edge", "ThresholdReport"),
@@ -370,7 +364,7 @@ class TestRejectedSend:
         spans = SpanCollector()
         recorder = ObsRecorder(spans=spans)
         transport = self._transport(faults, runtime, recorder)
-        transport.register(1, Mailbox().put)
+        transport.register(1, [].append)
         rng = getattr(transport, "rng", None)
         draws = rng.bit_generator.state if rng is not None else None
         for _ in range(5):   # whatever fate the fault draws would pick
@@ -384,13 +378,12 @@ class TestRejectedSend:
         assert len(transport.log) == 0
         assert recorder.registry.snapshot()["counters"] == {}
         assert spans.open_count == 0 and len(spans) == 0
-        assert runtime.clock.pending == 0
+        assert runtime.pending == 0
 
-        async def sender():      # the transport still works afterwards
+        def sender():            # the transport still works afterwards
             transport.send("edge", 1, GammaBroadcast(2, 0.5, 0.1))
-            await runtime.sleep(1.0)
 
-        runtime.run([sender()])
+        runtime.run([sender])
         assert transport.log.attempted > 0
         assert spans.open_count == 0 and len(spans) > 0
 
@@ -407,19 +400,18 @@ class TestMessageLog:
         transport = FaultyTransport(
             LocalTransport(runtime, record_log=record_log), faults, seed=11)
         for address in (1, 2, "edge"):
-            transport.register(address, Mailbox().put)
+            transport.register(address, [].append)
 
-        async def sender():
-            for round_number in range(8):
-                for device in (1, 2, 99):
-                    transport.send("edge", device,
-                                   GammaBroadcast(round_number, 0.5, 0.1))
-                    transport.send(device, "edge", ThresholdReport(
-                        device, round_number, 1.0, 0.5))
-                await runtime.sleep(1.0)
-            await runtime.sleep(10.0)
+        def send_round(round_number):
+            for device in (1, 2, 99):
+                transport.send("edge", device,
+                               GammaBroadcast(round_number, 0.5, 0.1))
+                transport.send(device, "edge", ThresholdReport(
+                    device, round_number, 1.0, 0.5))
+            if round_number < 7:
+                runtime.call_later(1.0, partial(send_round, round_number + 1))
 
-        runtime.run([sender()])
+        runtime.run([partial(send_round, 0)])
         return transport.log
 
     def test_counts_only_log_agrees_with_entry_log(self):
@@ -437,13 +429,12 @@ class TestMessageLog:
         log = MessageLog(record_entries=False)
         runtime = Runtime()
         transport = LocalTransport(runtime, record_log=False)
-        transport.register(1, Mailbox().put)
+        transport.register(1, [].append)
 
-        async def sender():
+        def sender():
             transport.send("edge", 1, GammaBroadcast(1, 0.5, 0.1))
-            await runtime.sleep(1.0)
 
-        runtime.run([sender()])
+        runtime.run([sender])
         assert transport.log.count("delivered") == 1
         assert len(transport.log) == 0
         assert len(log) == 0

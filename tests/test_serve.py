@@ -164,6 +164,22 @@ def _post(url, document):
         return error.code, json.loads(error.read()), error.headers
 
 
+def _healthz(server) -> int:
+    """``GET /healthz``'s status code, 503 included."""
+    try:
+        with urllib.request.urlopen(server.url + "/healthz") as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        return error.code
+
+
+def _wait_until(condition, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
 class TestServeConfig:
     def test_defaults_validate(self):
         config = ServeConfig()
@@ -187,7 +203,7 @@ class TestServeConfig:
 
     def test_protocol_adapter_speaks_netconfig(self):
         protocol = ServeConfig(round_period=0.5).protocol()
-        # The exact attribute set EdgeCoordinator.run() reads.
+        # The exact attribute set EdgeCoordinator's round timer reads.
         assert protocol.report_timeout == 0.5
         assert protocol.report_window == 1.5
         assert protocol.max_backoff == 2.0
@@ -248,10 +264,10 @@ class TestWallClockDriver:
         driver = WallClockDriver()
         assert driver.now == 0.0
 
-        async def idle():
-            await driver.sleep(10.0)
+        def idle():
+            driver.call_later(10.0, lambda: None)
 
-        driver.start([idle()])
+        driver.start([idle])
         time.sleep(0.05)
         assert driver.now > 0.0
         driver.stop()
@@ -263,10 +279,10 @@ class TestWallClockDriver:
         seen = {}
         done = threading.Event()
 
-        async def idle():
-            await driver.sleep(10.0)
+        def idle():
+            driver.call_later(10.0, lambda: None)
 
-        driver.start([idle()])
+        driver.start([idle])
         try:
             def probe():
                 seen["thread"] = threading.current_thread().name
@@ -280,10 +296,10 @@ class TestWallClockDriver:
     def test_actor_crash_is_surfaced(self):
         driver = WallClockDriver()
 
-        async def doomed():
+        def doomed():
             raise RuntimeError("actor died")
 
-        driver.start([doomed()])
+        driver.start([doomed])
         deadline = time.monotonic() + 2.0
         while driver.failure is None and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -630,6 +646,38 @@ class TestDecisionServer:
             assert status == 400
             live.service.admission.exit()
             assert _post(live.url + "/decide", {"device": 1})[0] == 200
+
+
+@pytest.mark.serve
+class TestDaemonShutdown:
+    """The daemon ends on its loop thread: a failure, or a spent budget."""
+
+    def test_loop_thread_failure_is_the_daemons(self, population):
+        service = DecisionService(population, ServeConfig(round_period=0.05))
+        with DecisionServer(service) as server:
+            assert _healthz(server) == 200
+            error = RuntimeError("ingest failed")
+
+            def explode():
+                raise error
+
+            service.driver.submit(explode)
+            assert _wait_until(lambda: service.driver.failure is not None)
+            assert service.driver.failure is error
+            assert not service.healthy
+            assert _healthz(server) == 503
+
+    def test_spent_round_budget_stops_cleanly(self, population):
+        config = ServeConfig(round_period=0.02, max_rounds=2)
+        service = DecisionService(population, config)
+        with DecisionServer(service) as server:
+            assert _wait_until(lambda: not service.healthy)
+            assert service.driver.failure is None
+            assert service.coordinator.round == 2
+            assert _healthz(server) == 503
+            started = time.monotonic()
+            service.stop()
+            assert time.monotonic() - started < 1.0
 
 
 #: A γ̂ that moves some, not all, of the test population's thresholds

@@ -3,7 +3,7 @@
 :class:`~repro.net.actors.EdgeCoordinator` keeps its report table as
 columns over the fleet's ids, and two paths write it: the scalar path
 (the base handler: one ``JoinLeave``, ``ThresholdReport`` or
-``Heartbeat`` at a time, buffered in the mailbox until a drain) and the
+``Heartbeat`` at a time, buffered in the inbox until a drain) and the
 batch path (:class:`~repro.serve.service.ServingCoordinator`: one
 :class:`~repro.net.messages.ReportBatch` per ``/decide`` request, applied
 as it is delivered).  The reference, :class:`_Reference`, is the
@@ -60,7 +60,7 @@ batch = st.tuples(st.just("batch"), QUARTERS, st.integers(0, 4),
                   st.lists(rows, min_size=1, max_size=8))
 single = st.tuples(st.sampled_from(["join", "leave", "heartbeat"]),
                    QUARTERS, DEVICE)
-#: A round end: both coordinators drain their mailboxes.
+#: A round end: both coordinators drain their inboxes.
 drain = st.tuples(st.just("drain"), st.just(0.0))
 #: (provisioned ids, whether they start joined); ``None``: the whole fleet.
 memberships = st.one_of(
@@ -225,4 +225,4 @@ def test_columnar_table_matches_per_message_table(
     for coordinator in coordinators:
         coordinator._drain()
     _assert_agree(coordinators, reference, now, current_round)
-    assert len(table.mailbox) == 0
+    assert len(table.inbox) == 0
