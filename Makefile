@@ -57,9 +57,17 @@ examples:
 		python $$script || exit 1; \
 	done
 
+# Each package is also imported first in a fresh interpreter, so an import
+# cycle between packages fails here whatever order the tests import in.
+IMPORT_FIRST = repro repro.core repro.core.estimation repro.simulation \
+	repro.net repro.serve repro.workload repro.experiments
+
 lint:
 	python -m compileall -q src tests benchmarks examples
 	PYTHONPATH=src python -m pytest --collect-only -q > /dev/null
+	@for module in $(IMPORT_FIRST); do \
+		PYTHONPATH=src python -c "import $$module" || exit 1; \
+	done
 
 clean:
 	rm -rf .pytest_cache .hypothesis build dist *.egg-info src/*.egg-info

@@ -684,7 +684,13 @@ def cmd_sweep(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as error:
+        # A value argparse accepted but the library refuses (say
+        # ``--users 0``): one line and exit 2, as argparse answers its own.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

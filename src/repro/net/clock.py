@@ -1,4 +1,4 @@
-"""A deterministic virtual-time event loop for the actors.
+"""The one deterministic virtual-time event loop: actors and DES alike.
 
 Every actor is a set of callbacks: a device answers inside the delivery
 event of a broadcast, and a coordinator's round is a timer (open: broadcast
@@ -18,9 +18,11 @@ actor ever touches the wall clock:
   buffers).  A callback may only push future events, so each pop is
   well-defined.
 
-The result is a discrete-event simulation (cf.
-:class:`repro.simulation.engine.DiscreteEventSimulator`) with no wall time
-anywhere.
+The result is a discrete-event simulation with no wall time anywhere, and
+the package has no other: the device queues, the M/G/k edge queue and the
+continuous Algorithm-1 run of :mod:`repro.simulation` file their arrivals,
+departures and broadcasts on a :class:`Runtime` with :meth:`Runtime.call_at`
+and :meth:`Runtime.call_later`, and run it up to their horizon.
 """
 
 from __future__ import annotations

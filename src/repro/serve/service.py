@@ -459,9 +459,10 @@ class DecisionService:
                                 joining=self.config.auto_join)
             self.driver.submit(lambda: self.transport.send(
                 SERVICE_ADDRESS, EDGE_ADDRESS, batch))
-        now = self.driver.now
+        # Read the clock under the lock: the estimator needs its record
+        # times in order across handler threads.
         with self._load_lock:
-            self.load.record(now)
+            self.load.record(self.driver.now, ids.size)
         self.registry.inc("serve.requests")
         self.registry.inc("serve.decisions", float(ids.size))
         self.registry.observe("serve.batch_size", float(ids.size))

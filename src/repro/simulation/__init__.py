@@ -3,9 +3,10 @@
 The paper's theory is exact for exponential local processing; its
 "practical settings" experiments (Section IV-B/IV-C) replace the
 exponential assumption with measured YOLOv3 processing times and WiFi
-latencies. This subpackage provides the machinery for those experiments:
+latencies. This subpackage provides the machinery for those experiments.
+Every discrete-event simulation in it runs on the actors' event loop,
+:class:`repro.net.clock.Runtime`:
 
-* :mod:`repro.simulation.engine` — a generic event-heap simulator;
 * :mod:`repro.simulation.device` — one device's FCFS queue under a TRO or
   DPO admission policy with an arbitrary service-time distribution;
 * :mod:`repro.simulation.edge` — the edge server model (utilisation
@@ -22,7 +23,6 @@ latencies. This subpackage provides the machinery for those experiments:
 from repro.simulation.device import DeviceStats, DpoAdmission, TroAdmission, simulate_device
 from repro.simulation.edge import EdgeServer
 from repro.simulation.edge_queue import EdgeQueueStats, simulate_edge_queue
-from repro.simulation.engine import DiscreteEventSimulator, Event
 from repro.simulation.fastpath import (
     FastpathUnsupportedError,
     check_fastpath_supported,
@@ -45,8 +45,6 @@ __all__ = [
     "FastpathUnsupportedError",
     "check_fastpath_supported",
     "simulate_devices_vectorized",
-    "DiscreteEventSimulator",
-    "Event",
     "DeviceStats",
     "TroAdmission",
     "DpoAdmission",

@@ -11,7 +11,11 @@ instead of exponentials.
 
 Devices do not interact through their queues (the edge's influence enters
 only through costs and threshold choices), so the system simulator runs
-one device process per user on its own engine instance.
+one device process per user on its own event loop. Every discrete-event
+simulation of :mod:`repro.simulation` (this one, the edge queue, the
+continuous Algorithm-1 run) is a set of callbacks on the actors' virtual
+clock, :class:`~repro.net.clock.Runtime`, and ends through
+:func:`run_des`.
 """
 
 from __future__ import annotations
@@ -25,10 +29,21 @@ from repro.simulation.trace import TaskTraceRecorder
 
 import numpy as np
 
+from repro.net.clock import Runtime
+from repro.obs.context import get_recorder
 from repro.population.distributions import Distribution
-from repro.simulation.engine import DiscreteEventSimulator
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_non_negative, check_positive, check_probability
+
+
+def run_des(runtime: Runtime, horizon: float) -> None:
+    """Fire ``runtime``'s events up to ``horizon`` (an event at exactly
+    ``horizon`` fires) and count the run on the ambient recorder."""
+    runtime.run((), until=horizon)
+    obs = get_recorder()
+    if obs.enabled:
+        obs.count("des.runs")
+        obs.count("des.events_fired", runtime.events_fired)
 
 
 class AdmissionPolicy(ABC):
@@ -138,7 +153,7 @@ def simulate_device(
     if warmup >= horizon:
         raise ValueError(f"warmup ({warmup}) must be < horizon ({horizon})")
     gen = as_generator(rng)
-    sim = DiscreteEventSimulator()
+    sim = Runtime()
 
     state = _DeviceState(initial_queue=initial_queue)
 
@@ -172,7 +187,7 @@ def simulate_device(
         state.service_started = now
         if recorder is not None:
             recorder.on_service_start(state.pending[0][0], now)
-        sim.schedule_after(sample_service(), on_departure)
+        sim.call_later(sample_service(), on_departure)
 
     def on_arrival() -> None:
         state.close_queue_interval(sim.now)
@@ -193,7 +208,7 @@ def simulate_device(
         else:
             if sim.now >= warmup:
                 state.offloaded += 1
-        sim.schedule_after(sample_interarrival(), on_arrival)
+        sim.call_later(sample_interarrival(), on_arrival)
 
     # Seed the initial backlog (tasks already in the device at t = 0).
     # Seeded tasks carry negative ids, which the recorder ignores: they
@@ -202,14 +217,14 @@ def simulate_device(
         state.pending.append((-1 - seeded, 0.0))
     if initial_queue > 0:
         _start_service(0.0)
-    sim.schedule_after(sample_interarrival(), on_arrival)
+    sim.call_later(sample_interarrival(), on_arrival)
 
     def start_observation() -> None:
         state.reset_observation(warmup)
 
     if warmup > 0:
-        sim.schedule_at(warmup, start_observation)
-    sim.run(until=horizon)
+        sim.call_at(warmup, start_observation)
+    run_des(sim, horizon)
     state.close_queue_interval(horizon)
     if state.queue > 0:
         # A service is still in flight at the horizon; count its elapsed part.

@@ -1,4 +1,4 @@
-"""A multi-server FCFS edge queue, simulated on the DES engine.
+"""A multi-server FCFS edge queue, simulated on the virtual-time event loop.
 
 The paper treats the edge as a delay curve; this simulator treats it as a
 physical M/G/k system — ``k`` parallel servers behind one FCFS queue — so
@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.net.clock import Runtime
 from repro.population.distributions import Distribution
-from repro.simulation.engine import DiscreteEventSimulator
+from repro.simulation.device import run_des
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_int_positive, check_non_negative, check_positive
 
@@ -53,7 +54,7 @@ def simulate_edge_queue(
     if warmup >= horizon:
         raise ValueError(f"warmup ({warmup}) must be < horizon ({horizon})")
     gen = as_generator(rng)
-    sim = DiscreteEventSimulator()
+    sim = Runtime()
 
     state = _EdgeState(servers=servers)
 
@@ -77,11 +78,11 @@ def simulate_edge_queue(
         if sim.now >= warmup:
             state.wait_total += sim.now - arrival_time
             state.started += 1
-            sim.schedule_after(
+            sim.call_later(
                 duration, lambda t=arrival_time: on_departure(t)
             )
         else:
-            sim.schedule_after(duration, on_departure)
+            sim.call_later(duration, on_departure)
 
     def on_arrival() -> None:
         state.close_intervals(sim.now, warmup)
@@ -92,12 +93,12 @@ def simulate_edge_queue(
             _start_service(sim.now)
         else:
             state.waiting.append(sim.now)
-        sim.schedule_after(gen.exponential(1.0 / arrival_rate), on_arrival)
+        sim.call_later(gen.exponential(1.0 / arrival_rate), on_arrival)
 
-    sim.schedule_after(gen.exponential(1.0 / arrival_rate), on_arrival)
+    sim.call_later(gen.exponential(1.0 / arrival_rate), on_arrival)
     if warmup > 0:
-        sim.schedule_at(warmup, lambda: state.reset_observation(warmup))
-    sim.run(until=horizon)
+        sim.call_at(warmup, lambda: state.reset_observation(warmup))
+    run_des(sim, horizon)
     state.close_intervals(horizon, warmup)
 
     observation = horizon - warmup

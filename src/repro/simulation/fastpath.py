@@ -1,7 +1,9 @@
 """Vectorized fast-path simulator: all N device queues stepped as arrays.
 
-The event-heap DES (:mod:`repro.simulation.engine`) executes one Python
-callback per event, which caps practical populations at ~10³–10⁴ devices.
+The event DES (:func:`repro.simulation.device.simulate_device`, each
+device a set of callbacks on a :class:`repro.net.clock.Runtime`) executes
+one Python callback per event, which caps practical populations at
+~10³–10⁴ devices.
 In the *Markovian* setting — Poisson arrivals, exponential service, TRO or
 DPO admission — each device's queue is a continuous-time Markov chain, and
 the whole population can be advanced simultaneously by **uniformization**:

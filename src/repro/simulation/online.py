@@ -7,7 +7,8 @@ iteration-based experiments discretise that into rounds; this module
 simulates it literally, in one uninterrupted discrete-event run:
 
 * every device's arrivals, admissions, and services run on one shared
-  engine — queues are never reset;
+  event loop (the actors' :class:`~repro.net.clock.Runtime`) — queues are
+  never reset;
 * the edge measures its utilisation over a *sliding window* of recent
   offload arrivals and, every ``broadcast_interval``, applies the
   Algorithm-1 sign-step update to its estimate γ̂ and broadcasts it;
@@ -35,8 +36,9 @@ from repro.core.kernels import (
     check_kernel,
     compile_mean_field,
 )
+from repro.net.clock import Runtime
 from repro.population.sampler import Population
-from repro.simulation.engine import DiscreteEventSimulator
+from repro.simulation.device import run_des
 from repro.simulation.measurement import ExponentialService, ServiceModel
 from repro.utils.rng import SeedLike, spawn_streams
 from repro.utils.validation import check_positive
@@ -45,8 +47,10 @@ from repro.utils.validation import check_positive
 class WindowedRateEstimator:
     """Sliding-window event-rate → utilisation estimator (the edge side).
 
-    Records offload timestamps and reports the utilisation over the
+    Records ``(time, count)`` entries and reports the utilisation over the
     trailing ``window``: ``count / span / total_capacity``, capped at 1.
+    A running total keeps both ``record`` and the per-entry pruning of
+    ``measure`` O(1), however many events one entry carries.
     During warm-up (``now < window``) the span is the time actually
     elapsed, so early estimates are not biased low by a mostly-empty
     window; at ``now == 0`` the span falls back to the nominal window
@@ -57,24 +61,27 @@ class WindowedRateEstimator:
     def __init__(self, window: float, total_capacity: float):
         self.window = check_positive("window", window)
         self.total_capacity = check_positive("total_capacity", total_capacity)
-        self._times: deque = deque()
+        self._entries: deque = deque()
+        self._total = 0
 
-    def record(self, time: float) -> None:
-        """Log one offload event at ``time`` (times must be non-decreasing)."""
-        self._times.append(time)
+    def record(self, time: float, count: int = 1) -> None:
+        """Log ``count`` events at ``time`` (times must be non-decreasing)."""
+        self._entries.append((time, count))
+        self._total += count
 
     @property
     def count(self) -> int:
         """Events currently retained (pruning happens on ``measure``)."""
-        return len(self._times)
+        return self._total
 
     def measure(self, now: float) -> float:
         """Utilisation over ``(now − window, now]``, in ``[0, 1]``."""
         cutoff = now - self.window
-        while self._times and self._times[0] < cutoff:
-            self._times.popleft()
+        entries = self._entries
+        while entries and entries[0][0] < cutoff:
+            self._total -= entries.popleft()[1]
         span = min(self.window, now) or self.window
-        return min(1.0, len(self._times) / span / self.total_capacity)
+        return min(1.0, self._total / span / self.total_capacity)
 
 
 @dataclass
@@ -153,7 +160,7 @@ class OnlineSimulation:
         device_rngs = streams[:n]
         update_rng = streams[n]
 
-        sim = DiscreteEventSimulator()
+        sim = Runtime()
         trace = OnlineTrace()
 
         # --- shared state -------------------------------------------------
@@ -189,20 +196,20 @@ class OnlineSimulation:
         def on_departure(i: int) -> None:
             queues[i] -= 1
             if queues[i] > 0:
-                sim.schedule_after(float(services[i].sample(device_rngs[i])),
-                                   lambda: on_departure(i))
+                sim.call_later(float(services[i].sample(device_rngs[i])),
+                               lambda: on_departure(i))
 
         def on_arrival(i: int) -> None:
             if admits(i):
                 queues[i] += 1
                 if queues[i] == 1:
-                    sim.schedule_after(
+                    sim.call_later(
                         float(services[i].sample(device_rngs[i])),
                         lambda: on_departure(i),
                     )
             else:
                 estimator.record(sim.now)
-            sim.schedule_after(
+            sim.call_later(
                 float(device_rngs[i].exponential(
                     1.0 / population.arrival_rates[i])),
                 lambda: on_arrival(i),
@@ -210,7 +217,7 @@ class OnlineSimulation:
 
         def on_threshold_update(i: int) -> None:
             set_threshold(i, float(kernel.user_threshold(i, stepper.estimate)))
-            sim.schedule_after(
+            sim.call_later(
                 float(update_rng.exponential(self.update_interval)),
                 lambda: on_threshold_update(i),
             )
@@ -226,21 +233,21 @@ class OnlineSimulation:
             trace.estimated.append(new_estimate)
             trace.measured.append(measured)
             trace.mean_threshold.append(float(thresholds.mean()))
-            sim.schedule_after(self.broadcast_interval, on_broadcast)
+            sim.call_later(self.broadcast_interval, on_broadcast)
 
         # --- bootstrap -------------------------------------------------------
         for i in range(n):
-            sim.schedule_after(
+            sim.call_later(
                 float(device_rngs[i].exponential(
                     1.0 / population.arrival_rates[i])),
                 lambda i=i: on_arrival(i),
             )
-            sim.schedule_after(
+            sim.call_later(
                 float(update_rng.exponential(self.update_interval)),
                 lambda i=i: on_threshold_update(i),
             )
-        sim.schedule_after(self.broadcast_interval, on_broadcast)
-        sim.run(until=duration)
+        sim.call_later(self.broadcast_interval, on_broadcast)
+        run_des(sim, duration)
 
         return OnlineResult(
             trace=trace,

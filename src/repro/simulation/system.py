@@ -101,10 +101,11 @@ def simulate_system(
     :mod:`repro.obs`) receives per-device queue/offload histograms and a
     ``system.measurement`` summary event.
 
-    ``backend`` selects the device simulator: ``"event"`` runs one event-heap
-    DES per device (any service/arrival model); ``"vectorized"`` steps all N
-    queues at once through the uniformized-CTMC fast path
-    (:mod:`repro.simulation.fastpath`) — 1–2 orders of magnitude faster, but
+    ``backend`` selects the device simulator: ``"event"`` runs one DES per
+    device on its own :class:`~repro.net.clock.Runtime` (any service or
+    arrival model); ``"vectorized"`` steps all N queues at once through
+    the uniformized-CTMC fast path (:mod:`repro.simulation.fastpath`) —
+    an order of magnitude faster at N ≥ 10³, but
     exact only for the Markovian setting (exponential service, Poisson
     arrivals, TRO/DPO policies). The two backends draw different random
     streams, so for one seed they agree statistically, not bit-wise.

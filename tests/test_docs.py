@@ -72,7 +72,7 @@ class TestModuleDoctests:
         "repro.core.tro",
         "repro.queueing.erlang",
         "repro.utils.tables",
-        "repro.simulation.engine",
+        "repro.net.clock",
     ])
     def test_module_doctests_pass(self, module_name):
         import importlib

@@ -13,11 +13,11 @@ from repro.core.dtu import DtuConfig, run_dtu
 from repro.core.equilibrium import solve_mfne
 from repro.core.meanfield import MeanFieldMap
 from repro.core.tro import queue_and_offload
+from repro.net.clock import Runtime
 from repro.population.distributions import Deterministic, Exponential, Uniform
 from repro.population.sampler import Population, PopulationConfig, sample_population
 from repro.population.user import UserProfile
 from repro.simulation.device import TroAdmission, simulate_device
-from repro.simulation.engine import DiscreteEventSimulator
 
 
 class TestSingleUserSystems:
@@ -103,11 +103,12 @@ class TestExtremeParameters:
 
 
 class TestSimulationBoundaries:
-    def test_event_exactly_at_horizon_not_executed(self):
-        sim = DiscreteEventSimulator()
+    def test_event_exactly_at_horizon_runs(self):
+        runtime = Runtime()
         fired = []
-        sim.schedule_at(10.0, lambda: fired.append("at"))
-        sim.run(until=10.0)
+        runtime.call_at(10.0, lambda: fired.append("at"))
+        runtime.call_at(10.5, lambda: fired.append("after"))
+        runtime.run((), until=10.0)
         # run(until=h) executes events with time <= h — document by test.
         assert fired == ["at"]
 

@@ -217,33 +217,6 @@ class TestStructuredLogger:
 
 
 class TestInstrumentedLayers:
-    def test_engine_counts_scheduled_fired_cancelled(self):
-        from repro.simulation.engine import DiscreteEventSimulator
-
-        recorder = ObsRecorder()
-        sim = DiscreteEventSimulator(recorder=recorder)
-        keep = sim.schedule_at(1.0, lambda: None)
-        kill = sim.schedule_at(2.0, lambda: None)
-        kill.cancel()
-        sim.run()
-        assert sim.scheduled_events == 2
-        assert sim.processed_events == 1
-        assert sim.cancelled_events == 1
-        assert sim.max_heap_depth == 2
-        assert keep.cancelled is False
-        registry = recorder.registry
-        assert registry.counter("des.runs").value == 1
-        assert registry.counter("des.events_fired").value == 1
-        assert registry.counter("events.des.run").value == 1
-
-    def test_engine_null_recorder_adds_no_metrics(self):
-        from repro.simulation.engine import DiscreteEventSimulator
-
-        sim = DiscreteEventSimulator()
-        sim.schedule_at(1.0, lambda: None)
-        sim.run()
-        assert sim.scheduled_events == 1 and sim.processed_events == 1
-
     def test_system_simulation_emits_measurement_event(self, small_population):
         from repro.simulation.measurement import MeasurementConfig
         from repro.simulation.system import simulate_system, tro_policies

@@ -121,6 +121,19 @@ class TestCli:
         assert "policy: mwu" in out
         assert "final gap" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["dtu", "--users", "0"],
+        ["solve", "--users", "-5"],
+        ["net", "--max-rounds", "0"],
+        ["sharded", "--sites", "0"],
+    ])
+    def test_invalid_value_is_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

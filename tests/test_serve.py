@@ -389,6 +389,18 @@ class TestDecisionService:
             with pytest.raises(ValueError, match=r"must be in \[0, 64\)"):
                 service.leave(devices)
 
+    def test_load_counts_decisions_not_requests(self, population):
+        # Never started, so the driver's clock reads 0 and the gauge
+        # divides by the nominal window: decisions / window / capacity.
+        config = ServeConfig(load_window=10.0, rate_capacity=1000.0)
+        loads = []
+        for batch in (1, 64):
+            service = DecisionService(population, config)
+            for _ in range(10):
+                service.decide(list(range(batch)), report=False)
+            loads.append(service.state()["load"])
+        assert loads == [10 / 10.0 / 1000.0, 640 / 10.0 / 1000.0]
+
     def test_decides_feed_membership_and_rounds(self, population):
         config = ServeConfig(round_period=0.02)
         with DecisionService(population, config) as service:
