@@ -15,7 +15,8 @@ writing ``manifest.json`` (the seed plus every parsed argument),
 ``metrics.json`` when the block ends; ``serve_metrics`` serves the same
 registry as a Prometheus ``/metrics`` endpoint while the block lasts.
 The span collector is thread-safe, so one recorder serves a daemon's
-handler threads and its coordinator alike.
+loop thread (its coordinator and its request handlers) and any caller on
+another thread alike.
 """
 
 from __future__ import annotations

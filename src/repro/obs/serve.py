@@ -10,15 +10,16 @@ histograms a summary-style family (``_count`` / ``_sum`` plus ``min`` /
 ``[a-zA-Z_][a-zA-Z0-9_]*`` charset Prometheus requires.
 
 :class:`MetricsServer` serves ``GET /metrics`` from a live snapshot
-callable on a daemon thread (stdlib ``http.server`` — no dependencies),
+callable on a private event-loop thread (a stdlib ``http.server``
+handler on :class:`repro.utils.httpd.HttpDaemon` — no dependencies),
 so any instrumented run becomes scrape-able with an opt-in
 ``--serve-metrics PORT`` flag::
 
     python -m repro.experiments table3 --metrics --serve-metrics 9100 &
     curl localhost:9100/metrics
 
-The snapshot callable runs on the server thread while the run mutates
-the registry on the main thread; under the GIL the worst case is a
+The snapshot callable runs on the server's loop thread while the run
+mutates the registry on the main thread; under the GIL the worst case is a
 dict-changed-during-iteration error, which the handler absorbs by
 retrying once and, failing that, returning 503 — a scrape may miss, the
 run is never perturbed.
@@ -106,11 +107,13 @@ class _Handler(QuietHandler):
 
 
 class MetricsServer:
-    """A ``/metrics`` endpoint on a daemon thread.
+    """A ``/metrics`` endpoint on a private loop thread.
 
     A thin wrapper over :class:`repro.utils.httpd.HttpDaemon` (the shared
-    stdlib-HTTP plumbing) that injects the snapshot callable and prefix
-    into the handler.
+    stdlib-HTTP plumbing the decision daemon runs on its coordinator's
+    loop) that injects the snapshot callable and prefix into the
+    handler; every scrape connection is a callback on that one thread,
+    which :meth:`stop` closes and joins.
 
     Parameters
     ----------

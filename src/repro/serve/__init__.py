@@ -11,7 +11,8 @@ serving threshold decisions over HTTP:
   :class:`~repro.net.actors.EdgeCoordinator`'s round timer runs
   unmodified as a daemon;
 * :class:`~repro.serve.service.DecisionService` — the coordinator +
-  compiled kernel pair behind a thread-safe facade: ``decide`` queries
+  compiled kernel pair behind a thread-safe facade (the daemon itself
+  calls it from the coordinator's own loop thread): ``decide`` queries
   answered as column arrays (:class:`~repro.serve.service.Decisions`)
   from the fleet answer each round publishes, and reported to the
   coordinator as one message, ``join``/``leave`` mapped
@@ -20,8 +21,9 @@ serving threshold decisions over HTTP:
 * :class:`~repro.serve.httpd.DecisionServer` — the HTTP surface
   (``POST /decide``, ``POST /join``, ``POST /leave``, ``GET /state``,
   ``GET /healthz``, ``GET /metrics``) on the shared
-  :mod:`repro.utils.httpd` plumbing, keeping each device's rendered
-  ``/decide`` row until its threshold moves;
+  :mod:`repro.utils.httpd` plumbing, its connections callbacks on the
+  driver's loop, keeping each device's rendered ``/decide`` row until
+  its threshold moves;
 * :mod:`repro.serve.replay` — a seeded open-loop load-test client that
   replays synthetic decision traffic and writes ``BENCH_serve.json``.
 

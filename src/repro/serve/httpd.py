@@ -2,7 +2,12 @@
 
 :class:`DecisionServer` puts a :class:`~repro.serve.service.DecisionService`
 behind the shared stdlib plumbing (:mod:`repro.utils.httpd`), the same
-way :class:`repro.obs.serve.MetricsServer` exposes a registry:
+way :class:`repro.obs.serve.MetricsServer` exposes a registry.  Its
+listener and every connection are callbacks on the service's
+:class:`~repro.serve.wallclock.WallClockDriver` loop, beside the
+coordinator's round timer and the report ingest: one thread serves the
+daemon, so a ``/decide`` hands its report batch over with a plain
+``call_soon`` and no thread ever waits on another.
 
 ========  ==========  ====================================================
 method    path        behaviour
@@ -23,10 +28,23 @@ Errors map onto plain HTTP: malformed JSON (nesting too deep for the
 decoder included), unknown device ids or a ``Content-Length`` that is
 not a byte count → 400, oversized batches or bodies → 413, shed load →
 503 with ``Retry-After`` set to one round period.  A request body is
-never read past the size ``max_batch`` devices can take; a body left
-unread closes the connection.  Every response is JSON (except
-``/metrics``) and carries ``Content-Length``, so HTTP/1.1 keep-alive
-works and a replay client can reuse one connection per worker.
+never buffered past the size ``max_batch`` devices can take; a request
+declaring more is refused from its head and its connection closed.
+Every response is JSON (except ``/metrics``) and carries
+``Content-Length``, so HTTP/1.1 keep-alive works and a replay client can
+reuse one connection per worker.  A connection whose request has not
+arrived whole ``QuietHandler.timeout`` seconds after its first byte is
+closed unanswered, and one whose client leaves an answer unread that
+long is dropped; ``serve.timeouts`` counts both.
+
+**Admission at read time.**  A request is sized (400/413) from its head
+(:meth:`_Handler.request_length`), and a ``/decide`` is admitted or shed
+once its body is in (:meth:`_Handler.read_body`): it is then *read*.  It
+is answered on the loop's next pass, after every connection whose
+request arrived in the same pass has been read.  So the admission
+controller's in-flight count is the ``/decide`` requests read off the
+wire and not yet answered, and a burst from more connections than the
+watermark is shed with 503 + ``Retry-After``.
 
 The ``/decide`` body is rendered from the service's
 :class:`~repro.serve.service.Decisions` columns by one row template
@@ -43,16 +61,14 @@ beside ``serve.decisions``.
 Request spans go through the service's recorder, the one its coordinator
 records ``coordinator.broadcast`` round spans with: one ``serve.decide``
 span per admitted request (wall time as the span clock, status
-``ok``/``error``) and one instant ``serve.shed`` span per rejection.  The
-recorder's span collector is thread-safe, so handler threads and the
-loop thread share it; without a collector (no ``--trace``) the calls
-are no-ops.
+``ok``/``error``) and one instant ``serve.shed`` span per rejection;
+without a collector (no ``--trace``) the calls are no-ops.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -110,6 +126,26 @@ def _body(decisions: Decisions, rows: List[bytes]) -> bytes:
 class _Handler(QuietHandler):
     protocol_version = "HTTP/1.1"
 
+    def request_length(self) -> Optional[int]:
+        """A body up to the largest batch's (400/413 past that, counted
+        in ``serve.errors``), sized from the head before it is buffered."""
+        server: DecisionServer = self.server.decision_server
+        self.length = self.body_length(server.max_body_bytes)
+        if self.length is None:
+            server.service.registry.inc("serve.errors")
+        return self.length
+
+    def read_body(self, body: bytes) -> None:
+        """A ``/decide`` is admitted or shed once it has arrived whole: an
+        admitted one holds its slot until it is answered."""
+        super().read_body(body)
+        self.admitted = (
+            self.command == "POST" and self.path == "/decide"
+            and self.server.decision_server.service.admission.try_enter())
+
+    def timed_out(self) -> None:
+        self.server.decision_server.service.registry.inc("serve.timeouts")
+
     def encode_json(self, document) -> bytes:
         if isinstance(document, Decisions):
             return self.server.decision_server.encode(document)
@@ -137,23 +173,18 @@ class _Handler(QuietHandler):
 
     def do_POST(self) -> None:
         server: DecisionServer = self.server.decision_server
-        length = self.body_length(server.max_body_bytes)
-        if length is None:
-            server.service.registry.inc("serve.errors")
-        elif self.path == "/decide":
-            self._decide(server, length)
+        if self.path == "/decide":
+            self._decide(server, self.length)
         elif self.path in ("/join", "/leave"):
-            self._membership(server, length, joining=self.path == "/join")
+            self._membership(server, self.length,
+                             joining=self.path == "/join")
         else:
-            self.drain_body(length)
             self.send_json(404, {"error": f"unknown path {self.path}"})
 
     def _decide(self, server: "DecisionServer", length: int) -> None:
         service = server.service
         obs, driver = service.recorder, service.driver
-        if not service.admission.try_enter():
-            # keep-alive safety: never strand body bytes
-            self.drain_body(length)
+        if not self.admitted:
             service.registry.inc("serve.shed")
             shed = obs.span_start("serve.shed", virtual_time=driver.now)
             obs.span_end(shed, "shed", virtual_time=driver.now)
@@ -238,15 +269,15 @@ class _Handler(QuietHandler):
 
 
 class DecisionServer:
-    """The decision service behind a threaded stdlib HTTP daemon.
+    """The decision service behind an HTTP listener on its driver's loop.
 
     The server keeps the ``/decide`` row it last rendered for each
     provisioned device in a fixed-width bytes array, beside the threshold
     it was rendered at (−1: never).  A slot is as wide as the widest row
     the population can produce — the largest id, the kernel's
     ``max_threshold`` and two float reprs of the longest possible
-    length — so no row is ever cut.  Handler threads share the slots
-    behind one lock.
+    length — so no row is ever cut.  The slots sit behind one lock, so
+    in-process callers on other threads may encode beside the loop.
     """
 
     def __init__(self, service: DecisionService, port: int = 0,
@@ -259,9 +290,10 @@ class DecisionServer:
         self._row_thresholds = np.full(n, -1, dtype=np.int64)
         self._row_lock = threading.Lock()
         service.registry.counter("serve.rows_rendered")
+        service.registry.counter("serve.timeouts")
         self._daemon = HttpDaemon(
-            _Handler, port=port, host=host,
-            name="repro-decision-server", decision_server=self,
+            _Handler, port=port, host=host, name="repro-decision-server",
+            decision_server=self,
         )
 
     @property
@@ -316,21 +348,23 @@ class DecisionServer:
         return self._daemon.running
 
     def start(self) -> "DecisionServer":
-        """Start the service (if needed), then the HTTP listener.
+        """Start the service (if needed), then listen on its loop.
 
-        A listener that cannot bind (:class:`OSError`) stops the service
-        before the error propagates, so no coordinator outlives it.
+        The port is bound in the calling thread: one that cannot bind
+        (:class:`OSError`) stops the service before the error propagates,
+        so no coordinator outlives it.
         """
         if not self.service._started:
             self.service.start()
         try:
-            self._daemon.start()
+            self._daemon.start(self.service.driver.loop)
         except OSError:
             self.service.stop()
             raise
         return self
 
     def stop(self) -> None:
+        """Close the listener and every connection, then stop the loop."""
         self._daemon.stop()
         self.service.stop()
 

@@ -17,6 +17,11 @@
 * an :class:`AdmissionController` — a bounded in-flight watermark so
   overload sheds (the HTTP layer answers 503 + ``Retry-After``) instead
   of collapsing latency;
+* the thread model: the coordinator's callbacks, the report ingest and
+  the daemon's HTTP connections (:class:`~repro.serve.httpd.DecisionServer`)
+  all run on the driver's one loop thread.  ``decide`` and friends stay
+  safe to call from other threads too (tests and in-process callers):
+  they only *read* actor state and hand every write to the loop;
 * a :class:`~repro.simulation.online.WindowedRateEstimator` measuring
   decision arrivals against a nominal capacity (the ``load`` gauge in
   ``/state``), exercised here on irregular wall-clock windows rather
@@ -114,7 +119,10 @@ class ServeConfig:
     auto_join: bool = True           #: first decide implies a JoinLeave
     staleness_factor: float = 2.0    #: rounds overdue before γ̂ is "stale"
     load_window: float = 10.0        #: trailing window for the load gauge
-    rate_capacity: float = 10_000.0  #: nominal decisions/s (load = 1.0)
+    #: nominal decisions/s (load = 1.0): what one daemon serves —
+    #: perfbench serve-batch's ``decisions_per_s`` on the recording host
+    #: (2-CPU, one serving thread; median ≈970k), rounded down
+    rate_capacity: float = 900_000.0
 
     def __post_init__(self) -> None:
         check_unit_interval("initial_step", self.initial_step, open_left=True)
@@ -305,11 +313,14 @@ class Decisions:
 class AdmissionController:
     """A bounded in-flight watermark: enter or shed, never queue unbounded.
 
-    ``ThreadingHTTPServer`` gives every connection a thread, so "queue
-    depth" is the number of requests currently being served; past the
-    watermark new work is shed immediately (the HTTP layer turns that
-    into 503 + ``Retry-After``) and latency for admitted requests stays
-    bounded instead of collapsing under a pile-up.
+    "Queue depth" is the number of ``/decide`` requests read off the
+    wire and not yet answered: the HTTP layer enters when it reads a
+    request whole and exits once it answered it, reading every
+    connection's ready request before answering any.  Past the
+    watermark new work is shed immediately (503 + ``Retry-After``) and
+    latency for admitted requests stays bounded instead of collapsing
+    under a pile-up.  The lock lets callers outside the loop thread
+    hold slots too.
     """
 
     def __init__(self, watermark: int):
@@ -336,12 +347,13 @@ class AdmissionController:
 class DecisionService:
     """The long-lived DTU decision service (transport-agnostic core).
 
-    Thread model: the coordinator runs on the driver's loop thread;
-    ``decide``/``join``/``leave``/``state`` are called from arbitrary
-    threads and only *read* actor state (the published
+    Thread model: the coordinator runs on the driver's loop thread, and
+    so do the daemon's request handlers, which call
+    ``decide``/``join``/``leave``/``state`` there; any other thread may
+    call them too.  They only *read* actor state (the published
     :class:`FleetAnswer` reference and plain floats/ints, GIL-atomic) —
-    every write is marshalled to the loop thread as real protocol
-    messages.
+    every write is handed to the loop as real protocol messages
+    (:meth:`WallClockDriver.submit`).
     """
 
     def __init__(
@@ -387,7 +399,7 @@ class DecisionService:
         self._load_lock = threading.Lock()
         self._started = False
         # Pre-create the serving instruments so first-touch registry
-        # mutation never races across handler threads.
+        # mutation never races with a caller on another thread.
         for name in ("serve.requests", "serve.decisions", "serve.shed",
                      "serve.joins", "serve.leaves", "serve.errors"):
             self.registry.counter(name)
@@ -460,7 +472,7 @@ class DecisionService:
             self.driver.submit(lambda: self.transport.send(
                 SERVICE_ADDRESS, EDGE_ADDRESS, batch))
         # Read the clock under the lock: the estimator needs its record
-        # times in order across handler threads.
+        # times in order across calling threads.
         with self._load_lock:
             self.load.record(self.driver.now, ids.size)
         self.registry.inc("serve.requests")

@@ -13,12 +13,14 @@ windows become wall-clock seconds.
 
 Single-threaded discipline carries over: everything that mutates actor
 state (handler calls, transport sends, scheduled callbacks) runs on the
-loop thread.  Foreign threads — HTTP request handlers — never touch an
-actor directly; they marshal closures through :meth:`WallClockDriver.submit`
-(``loop.call_soon_threadsafe``), which serialises them between the
-actors' callbacks exactly like virtual-clock events.  Reads of plain
-floats/ints (γ̂, round numbers) from foreign threads are safe under the
-GIL and are the only cross-thread access the serving layer performs.
+loop thread.  The daemon's HTTP connections are callbacks on the same
+loop (:attr:`WallClockDriver.loop`), so a request handler hands its
+protocol messages to :meth:`WallClockDriver.submit` as a plain
+``loop.call_soon``, queued between the actors' callbacks exactly like
+virtual-clock events; a foreign thread (an in-process caller) goes
+through ``loop.call_soon_threadsafe``.  Reads of plain floats/ints (γ̂,
+round numbers) from foreign threads are safe under the GIL and are the
+only cross-thread access the serving layer allows.
 
 :class:`WallClockTransport` is the matching
 :class:`~repro.net.transport.Transport`: real
@@ -48,10 +50,12 @@ class WallClockDriver:
     The :class:`repro.net.clock.Runtime` contract (``now``, ``call_at``,
     ``call_later``, ``stop``, ``stopping``) over a private asyncio event
     loop; :meth:`start` queues the actors' starts and spawns the loop
-    thread, :meth:`stop` stops the loop and joins the thread.  Every
-    callback runs through one guard: the first exception raised on the
-    loop thread becomes :attr:`failure` and stops the loop, so the
-    daemon never serves from a dead coordinator.
+    thread.  Every actor callback runs through one guard: the first
+    exception raised in one becomes :attr:`failure` and ends the actor
+    callbacks, so the daemon never serves from a dead coordinator.  The
+    actors ending is not the loop ending: whatever else runs on the loop
+    (the daemon's HTTP connections, answering ``/healthz`` 503) keeps
+    running until the owner calls :meth:`stop` from its own thread.
     """
 
     def __init__(self):
@@ -72,17 +76,21 @@ class WallClockDriver:
         return time.monotonic() - self._epoch
 
     def stop(self) -> None:
-        """Stop the loop and join its thread (idempotent, thread-safe)."""
+        """End the actor callbacks (idempotent, thread-safe).
+
+        On the loop thread — a coordinator spending its round budget, or
+        the guard after a failure — that is all.  From any other thread,
+        the owner's, it also stops the loop and joins its thread.
+        """
         self.stopping = True
-        loop = self._loop
-        if loop is not None:
-            try:
-                loop.call_soon_threadsafe(loop.stop)
-            except RuntimeError:     # loop already closed
-                pass
         thread = self._thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=5.0)
+        if thread is None or thread is threading.current_thread():
+            return
+        try:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+        except RuntimeError:         # loop already closed
+            pass
+        thread.join(timeout=5.0)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -106,17 +114,27 @@ class WallClockDriver:
         finally:
             self._loop.close()
 
+    @property
+    def loop(self) -> Optional[asyncio.AbstractEventLoop]:
+        """The event loop the actors run on (None before :meth:`start`)."""
+        return self._loop
+
     # -- cross-thread marshalling -------------------------------------------
 
     def submit(self, action: Callable[[], None]) -> None:
         """Run ``action`` on the loop thread (fire-and-forget, thread-safe).
 
-        The serving layer's only write path into actor state: HTTP
-        handler threads package their protocol messages into a closure
-        and hand it over; the loop interleaves it between actor callbacks.
+        The serving layer's only write path into actor state: request
+        handlers package their protocol messages into a closure and hand
+        it over; the loop interleaves it between actor callbacks.  On the
+        loop thread — where the daemon's handlers run — that is a plain
+        ``call_soon``, with no wake-up write to the loop's self-pipe.
         """
         loop = self._loop
         if loop is None or self.stopping:
+            return
+        if threading.current_thread() is self._thread:
+            loop.call_soon(self._guarded, action)
             return
         try:
             loop.call_soon_threadsafe(self._guarded, action)
@@ -149,8 +167,8 @@ class WallClockDriver:
         try:
             action()
         except Exception as error:
-            # The loop thread's first failure is the daemon's: keep it for
-            # state() and /healthz, and stop serving from a dead actor.
+            # The first failed actor callback is the daemon's: keep it for
+            # state() and /healthz, and end the actors' callbacks.
             if self.failure is None:
                 self.failure = error
             self.stop()

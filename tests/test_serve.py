@@ -16,7 +16,11 @@ Three contracts pin :mod:`repro.serve` to the rest of the repo:
 
 from __future__ import annotations
 
+import concurrent.futures
+import http.client
 import json
+import logging
+import select
 import socket
 import sys
 import threading
@@ -44,6 +48,7 @@ from repro.serve import (
 )
 from repro.serve.httpd import encode_decisions
 from repro.serve.replay import ReplayConfig, run_replay
+from repro.utils import httpd
 from repro.utils.httpd import HttpDaemon, QuietHandler
 
 
@@ -401,6 +406,16 @@ class TestDecisionService:
             loads.append(service.state()["load"])
         assert loads == [10 / 10.0 / 1000.0, 640 / 10.0 / 1000.0]
 
+    def test_default_capacity_keeps_batch_traffic_below_the_cap(
+            self, population):
+        # 200 batches of B=1000 in the 10 s window: 20k decisions/s, far
+        # below what one daemon serves, must not read as saturated.
+        service = DecisionService(population)
+        batch = [device % population.size for device in range(1000)]
+        for _ in range(200):
+            service.decide(batch, report=False)
+        assert 0.0 < service.state()["load"] < 1.0
+
     def test_decides_feed_membership_and_rounds(self, population):
         config = ServeConfig(round_period=0.02)
         with DecisionService(population, config) as service:
@@ -658,6 +673,303 @@ class TestDecisionServer:
             assert status == 400
             live.service.admission.exit()
             assert _post(live.url + "/decide", {"device": 1})[0] == 200
+
+
+def _address(server):
+    host, port = server.url.rsplit("/", 1)[-1].split(":")
+    return host, int(port)
+
+
+def _read_response(sock, pending: bytes = b""):
+    """One ``Content-Length``-framed response off ``sock``:
+    ``(status, headers, body, bytes read past it)``."""
+    while b"\r\n\r\n" not in pending:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-response"
+        pending += chunk
+    head, rest = pending.split(b"\r\n\r\n", 1)
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    length = int(headers.get("Content-Length", 0))
+    while len(rest) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        rest += chunk
+    return int(lines[0].split()[1]), headers, rest[:length], rest[length:]
+
+
+@pytest.mark.serve
+class TestConnections:
+    """Every connection is callbacks on the coordinator's loop thread."""
+
+    @pytest.fixture()
+    def live(self, population):
+        config = ServeConfig(round_period=0.05)
+        with DecisionServer(DecisionService(population, config)) as server:
+            yield server
+
+    def test_no_thread_per_connection(self, live):
+        before = threading.active_count()
+        host, port = _address(live)
+        connections = [http.client.HTTPConnection(host, port, timeout=10)
+                       for _ in range(32)]
+        try:
+            for device, connection in enumerate(connections):
+                connection.request("POST", "/decide",
+                                   json.dumps({"device": device}).encode())
+            for connection in connections:
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            # All 32 keep-alive connections are still open.
+            assert threading.active_count() == before
+        finally:
+            for connection in connections:
+                connection.close()
+
+    def test_pipelined_requests_answer_in_order(self, live):
+        def request(device):
+            body = json.dumps({"device": device}).encode()
+            return (b"POST /decide HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+        with socket.create_connection(_address(live), timeout=10) as sock:
+            sock.sendall(request(3) + request(5))
+            status, _, body, rest = _read_response(sock)
+            assert (status, json.loads(body)["device"]) == (200, 3)
+            status, _, body, rest = _read_response(sock, rest)
+            assert (status, json.loads(body)["device"]) == (200, 5)
+            assert rest == b""
+
+    def test_expect_100_continue_is_answered_before_the_body(self, live):
+        body = json.dumps({"devices": list(range(64))}).encode()
+        with socket.create_connection(_address(live), timeout=10) as sock:
+            sock.sendall(b"POST /decide HTTP/1.1\r\nHost: t\r\n"
+                         b"Expect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body))
+            sock.settimeout(0.5)
+            assert sock.recv(65536).startswith(b"HTTP/1.1 100 Continue\r\n")
+            sock.settimeout(10)
+            sock.sendall(body)
+            status, _, payload, _ = _read_response(sock)
+            assert status == 200
+            assert len(json.loads(payload)["decisions"]) == 64
+
+    def test_http_1_0_request_is_answered_then_closed(self, live):
+        status, reply = _raw_post(live.url, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert status == 200
+        assert json.loads(reply.split(b"\r\n\r\n", 1)[1]) == {
+            "status": "ok"}
+
+    def test_burst_past_the_watermark_is_shed(self, population):
+        config = ServeConfig(round_period=0.05, watermark=2)
+        with DecisionServer(DecisionService(population, config)) as live:
+            host, port = _address(live)
+            connections = [http.client.HTTPConnection(host, port, timeout=10)
+                           for _ in range(8)]
+            try:
+                for connection in connections:      # connected and idle
+                    connection.request("GET", "/healthz")
+                    connection.getresponse().read()
+                held = threading.Event()
+                live.service.driver.submit(
+                    lambda: (held.set(), time.sleep(0.3)))
+                assert held.wait(5.0)
+                # All eight arrive while the loop is held, so it reads
+                # them in one pass: two are admitted, the rest shed.
+                for connection in connections:
+                    connection.request("POST", "/decide", b'{"device": 1}')
+                answers = []
+                for connection in connections:
+                    response = connection.getresponse()
+                    response.read()
+                    answers.append((response.status,
+                                    response.getheader("Retry-After")))
+            finally:
+                for connection in connections:
+                    connection.close()
+        statuses = [status for status, _ in answers]
+        assert 503 in statuses
+        assert set(statuses) == {200, 503}
+        for status, retry_after in answers:
+            if status == 503:
+                assert float(retry_after) == config.round_period
+        assert live.service.admission.in_flight == 0
+
+    def test_stop_closes_open_connections_and_joins(self, population):
+        before = threading.active_count()
+        server = DecisionServer(DecisionService(population)).start()
+        try:
+            with socket.create_connection(_address(server), timeout=5) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert _read_response(sock)[0] == 200   # kept alive
+                server.stop()
+                try:
+                    assert sock.recv(1024) == b""
+                except ConnectionResetError:
+                    pass
+        finally:
+            server.stop()
+        assert threading.active_count() == before
+
+    def test_raising_handler_closes_only_its_connection(self, live,
+                                                        monkeypatch):
+        def broken(devices, report=True):
+            raise RuntimeError("decide broke")
+
+        monkeypatch.setattr(live.service, "decide", broken)
+        with pytest.raises((http.client.HTTPException, OSError)):
+            _post(live.url + "/decide", {"device": 1})
+        assert _healthz(live) == 200
+        assert live.service.driver.failure is None
+        assert live.service.admission.in_flight == 0
+
+    def test_trickled_request_is_closed_at_its_deadline(self, population,
+                                                         monkeypatch):
+        # A short deadline stands in for the 30 s one; the client sends a
+        # byte every 0.1 s, so no single read ever waits 0.3 s.
+        monkeypatch.setattr(QuietHandler, "timeout", 0.3)
+        config = ServeConfig(round_period=0.05)
+        head = b"POST /decide HTTP/1.1\r\n"
+        with DecisionServer(DecisionService(population, config)) as live:
+            with socket.create_connection(_address(live), timeout=5) as slow:
+                started = time.monotonic()
+                reply, closed_after = b"", None
+                for index in range(len(head)):
+                    try:
+                        slow.sendall(head[index:index + 1])
+                        if index == 1:
+                            # Served meanwhile, on another connection.
+                            assert _post(live.url + "/decide",
+                                         {"device": 1})[0] == 200
+                        if select.select([slow], [], [], 0.1)[0]:
+                            reply = slow.recv(1024)
+                            closed_after = time.monotonic() - started
+                            break
+                    except ConnectionError:
+                        closed_after = time.monotonic() - started
+                        break
+            with urllib.request.urlopen(live.url + "/metrics") as response:
+                lines = response.read().decode().splitlines()
+        assert reply == b""                 # closed unanswered
+        assert closed_after is not None and closed_after < 1.0
+        assert "repro_serve_timeouts_total 1.0" in lines
+
+
+class _Payload(QuietHandler):
+    """Answers every ``GET`` with ``size`` bytes."""
+
+    protocol_version = "HTTP/1.1"
+    size = 2
+
+    def do_GET(self):
+        self.send_payload(200, b"x" * self.size)
+
+
+def _on_loop(daemon, function):
+    """``function()``'s result, called on the daemon's loop thread."""
+    done = concurrent.futures.Future()
+    daemon._loop.call_soon_threadsafe(
+        lambda: done.set_result(function()))
+    return done.result(10.0)
+
+
+def _slow_reader(daemon) -> socket.socket:
+    """A client socket whose receive buffer holds almost nothing."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(10)
+    sock.connect(_address(daemon))
+    return sock
+
+
+@pytest.mark.serve
+class TestConnectionFlow:
+    """A connection's reads follow its client's: heads, bodies, answers."""
+
+    def test_answer_past_every_buffer_logs_nothing(self, monkeypatch,
+                                                  caplog):
+        # 8 MB outgrows the client's and the kernel's buffers, so the
+        # transport holds the rest and pauses the connection until the
+        # client catches up.
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        monkeypatch.setattr(_Payload, "size", 8 << 20)
+        with HttpDaemon(_Payload) as daemon, _slow_reader(daemon) as sock:
+            sock.sendall(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n"
+                         b"GET / HTTP/1.1\r\nHost: t\r\n\r\n")
+            time.sleep(0.3)
+            status, _, body, rest = _read_response(sock)
+            assert (status, len(body)) == (200, _Payload.size)
+            status, _, body, rest = _read_response(sock, rest)
+            assert (status, len(body), rest) == (200, _Payload.size, b"")
+        assert [record for record in caplog.records
+                if record.name == "asyncio"] == []
+
+    def test_client_reading_nothing_is_not_buffered_for(self, monkeypatch):
+        # 64 pipelined requests for 256 KiB each, none of it read: the
+        # daemon answers until its output passes the high-water mark,
+        # then reads no further request.
+        monkeypatch.setattr(_Payload, "size", 256 << 10)
+        monkeypatch.setattr(QuietHandler, "timeout", 1.0)
+        with HttpDaemon(_Payload) as daemon, _slow_reader(daemon) as sock:
+            sock.sendall(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n" * 64)
+            time.sleep(0.3)
+            (connection,) = daemon._connections
+            unsent = _on_loop(daemon,
+                              connection.transport.get_write_buffer_size)
+            assert 0 < unsent < 1 << 20         # one answer, not 64
+            # An answer left unread past the deadline drops the
+            # connection: a close would wait for the client forever.
+            assert _wait_until(lambda: not daemon._connections, 3.0)
+
+    def test_head_in_small_chunks_is_scanned_once(self, monkeypatch):
+        scanned = []
+        head_end = httpd._head_end
+
+        def counting(buffer, start):
+            scanned.append(len(buffer) - start)
+            return head_end(buffer, start)
+
+        monkeypatch.setattr(httpd, "_head_end", counting)
+        head = b"GET / HTTP/1.1\r\nHost: t\r\n" + b"".join(
+            b"X-Pad-%d: %s\r\n" % (index, b"a" * 1000)
+            for index in range(32)) + b"\r\n"
+        with HttpDaemon(_Payload) as daemon, \
+                socket.create_connection(_address(daemon),
+                                         timeout=10) as sock:
+            sock.sendall(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert _read_response(sock)[0] == 200
+            (connection,) = daemon._connections
+            scanned.clear()
+
+            def trickle():
+                for index in range(0, len(head), 16):
+                    connection.data_received(head[index:index + 16])
+
+            _on_loop(daemon, trickle)
+            status, _, body, _ = _read_response(sock)
+        assert (status, body) == (200, b"xx")
+        # Each 16-byte chunk scans itself and the three bytes before it,
+        # not the whole buffer again: ≈ 1.2 × the head, where rescans
+        # would total ≈ 1,000 ×.
+        assert len(scanned) >= len(head) // 16
+        assert sum(scanned) < 2 * len(head)
+
+    def test_content_length_is_read_from_the_parsed_head(self, population):
+        # "13\xa0" strips to 13 as a header value: the body is buffered by
+        # the length the handler reads, so the next request stays whole.
+        body = b'{"device": 3}'
+        request = (b"POST /decide HTTP/1.1\r\nHost: t\r\n"
+                   b"Content-Length: %d\xa0\r\n\r\n" % len(body) + body)
+        config = ServeConfig(round_period=0.05)
+        with DecisionServer(DecisionService(population, config)) as live, \
+                socket.create_connection(_address(live), timeout=10) as sock:
+            sock.sendall(request + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            status, _, payload, rest = _read_response(sock)
+            assert (status, json.loads(payload)["device"]) == (200, 3)
+            status, _, payload, rest = _read_response(sock, rest)
+            assert (status, json.loads(payload), rest) == (
+                200, {"status": "ok"}, b"")
 
 
 @pytest.mark.serve

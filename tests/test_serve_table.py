@@ -13,7 +13,7 @@ to the scalar coordinator and the reference, one ``JoinLeave`` (when the
 batch joins) plus one ``ThresholdReport`` per row.
 
 Scripts mix duplicate ids within a batch, stale and out-of-order rounds
-(two handler threads interleaving), heartbeats, leaves and re-joins, and
+(callers on two threads interleaving), heartbeats, leaves and re-joins, and
 round ends at arbitrary points, with and without a liveness timeout and
 auto-join, from three starting memberships: provisioned (the net
 runtimes), empty (the daemon), and partial (a sharded site), where
