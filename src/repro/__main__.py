@@ -260,6 +260,7 @@ def cmd_sharded(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    import signal
     import time as _time
 
     from repro.serve import DecisionServer, DecisionService, ServeConfig
@@ -282,6 +283,9 @@ def cmd_serve(args) -> int:
             print(f"error: cannot listen on {args.host}:{args.port}: "
                   f"{error}", file=sys.stderr)
             return 1
+        # SIGTERM (a service manager's stop, or `kill` of a background
+        # job, which starts with SIGINT ignored) shuts down like Ctrl-C.
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             print(f"serving decisions at {server.url} "
                   f"(round period {config.round_period:g}s, "
@@ -294,6 +298,7 @@ def cmd_serve(args) -> int:
         except KeyboardInterrupt:
             print("\ninterrupted, shutting down")
         finally:
+            signal.signal(signal.SIGTERM, previous)
             server.stop()
         state = service.state()
         print(f"served {state['admitted_total']} requests "
@@ -527,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "shedding with 503 (default 64)")
     serve.add_argument("--duration", type=float, default=0.0,
                        help="serve for N seconds then exit "
-                            "(default 0: until interrupted)")
+                            "(default 0: until Ctrl-C or SIGTERM)")
     _add_observability(serve, live_metrics=False)
     serve.set_defaults(func=cmd_serve)
 

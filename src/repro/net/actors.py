@@ -325,7 +325,8 @@ class EdgeCoordinator:
     joined), a member mask (known and not left), the last-heard time
     (0.0 before first contact), and the stored report's time, round
     (−1: none) and rate.  Provisioned devices start as members unless
-    ``joined`` is false.  Each message is a few scalar writes under
+    ``joined`` is false.  :meth:`receive` is the one way a message
+    reaches the table, and each message is a few scalar writes under
     these rules:
 
     * the newest round wins, and a tie goes to the later message;
@@ -342,7 +343,7 @@ class EdgeCoordinator:
     def __init__(
         self,
         runtime: Runtime,
-        transport: Transport,
+        transport: Optional[Transport],
         devices: Sequence[int],
         capacity: float,
         config,
@@ -367,9 +368,12 @@ class EdgeCoordinator:
         self.config = config
         self.address = address
         #: Envelopes delivered since the last drain; ``append`` is the
-        #: transport handler.
+        #: transport handler.  A coordinator that nothing sends to (the
+        #: serving daemon's, whose service calls :meth:`receive`) is
+        #: built with ``transport=None`` and registers none.
         self.inbox: List[Envelope] = []
-        transport.register(address, self.inbox.append)
+        if transport is not None:
+            transport.register(address, self.inbox.append)
         self.stepper = DtuStepper(
             initial_step=config.initial_step,
             tolerance=config.tolerance,
@@ -484,38 +488,41 @@ class EdgeCoordinator:
         inbox = self.inbox[:]
         self.inbox.clear()     # in place: the transport holds its append
         for envelope in inbox:
-            self._handle(envelope)
+            self.receive(envelope.message, envelope.delivered_at,
+                         envelope.span)
 
-    def _handle(self, envelope) -> None:
-        """Apply one delivered message to the coordinator state.
+    def receive(self, message, at: float,
+                parent: Optional[int] = None) -> None:
+        """Apply one message, delivered at ``at``, to the coordinator state.
 
-        Split out of :meth:`_drain` so subclasses (the sharded
-        :class:`~repro.net.sharded.SiteCoordinator`) can intercept their
-        extra message kinds and fall back to this for the common ones.
+        The only way a message changes a coordinator: the drain calls it
+        once per buffered envelope, with the delivery span as ``parent``,
+        and the serving daemon calls it on its loop thread.  Subclasses
+        (the sharded :class:`~repro.net.sharded.SiteCoordinator`, the
+        serving :class:`~repro.serve.service.ServingCoordinator`) take
+        their extra message kinds and fall back to this for the common
+        ones.
         """
-        message = envelope.message
         if isinstance(message, ThresholdReport):
             if self._obs.enabled:
                 # Instant leaf completing the causal chain
                 # broadcast → deliver → best_response → report.receive.
                 span = self._obs.span_start(
-                    "report.receive", parent=envelope.span,
-                    virtual_time=envelope.delivered_at,
+                    "report.receive", parent=parent, virtual_time=at,
                     device=message.device, round=message.round,
                 )
-                self._obs.span_end(span,
-                                   virtual_time=envelope.delivered_at)
+                self._obs.span_end(span, virtual_time=at)
             device = message.device
-            self._heard_at[device] = envelope.delivered_at
+            self._heard_at[device] = at
             if message.round >= self._report_round[device]:
-                self._report_at[device] = envelope.delivered_at
+                self._report_at[device] = at
                 self._report_round[device] = message.round
                 self._report_rate[device] = message.offload_rate
         elif isinstance(message, Heartbeat):
-            self._heard_at[message.device] = envelope.delivered_at
+            self._heard_at[message.device] = at
         elif isinstance(message, JoinLeave):
             device = message.device
-            self._heard_at[device] = envelope.delivered_at
+            self._heard_at[device] = at
             if message.joining:
                 if not self._known[device]:   # not provisioned: a migrant
                     self._known[device] = True

@@ -347,16 +347,15 @@ class SiteCoordinator(EdgeCoordinator):
 
     # -- message handling -------------------------------------------------
 
-    def _handle(self, envelope) -> None:
-        message = envelope.message
+    def receive(self, message, at: float,
+                parent: Optional[int] = None) -> None:
         if isinstance(message, GammaGossip):
             # Deliveries can reorder under jitter; keep the newest round.
             if message.round >= self.peer_rounds[message.site]:
                 self.peer_estimates[message.site] = message.estimate
                 self.peer_rounds[message.site] = message.round
             self.gossip_heard[message.site] = max(
-                float(self.gossip_heard[message.site]),
-                envelope.delivered_at)
+                float(self.gossip_heard[message.site]), at)
             if self._obs.enabled:
                 self._obs.count("sharded.gossip_received")
         elif isinstance(message, DelayProbe):
@@ -364,14 +363,14 @@ class SiteCoordinator(EdgeCoordinator):
                 self.address, site_address(message.site),
                 DelayProbeReply(self.site, message.sent_at))
         elif isinstance(message, DelayProbeReply):
-            sample = (envelope.delivered_at - message.probe_sent_at) / 2.0
+            sample = (at - message.probe_sent_at) / 2.0
             previous = float(self.delay_estimates[message.site])
             weight = self.config.delay_smoothing
             self.delay_estimates[message.site] = sample \
                 if math.isnan(previous) \
                 else (1.0 - weight) * previous + weight * sample
         else:
-            super()._handle(envelope)
+            super().receive(message, at, parent)
 
     # -- measurement ------------------------------------------------------
 

@@ -6,8 +6,8 @@ coordinator to the wall clock and exposes it as a persistent daemon
 serving threshold decisions over HTTP:
 
 * :class:`~repro.serve.wallclock.WallClockDriver` — the
-  :class:`repro.net.clock.Runtime` contract (``now`` / ``call_later`` /
-  ``call_at`` / ``stop``) adapted to real time, so the
+  :class:`repro.net.clock.Runtime` surface a coordinator uses (``now`` /
+  ``call_later`` / ``stop``) adapted to real time, so the
   :class:`~repro.net.actors.EdgeCoordinator`'s round timer runs
   unmodified as a daemon;
 * :class:`~repro.serve.service.DecisionService` — the coordinator +
@@ -15,9 +15,10 @@ serving threshold decisions over HTTP:
   calls it from the coordinator's own loop thread): ``decide`` queries
   answered as column arrays (:class:`~repro.serve.service.Decisions`)
   from the fleet answer each round publishes, and reported to the
-  coordinator as one message, ``join``/``leave`` mapped
-  onto the :class:`~repro.net.messages.JoinLeave` protocol messages,
-  admission control past a queue-depth watermark;
+  coordinator as one message passed to its ``receive`` on the loop
+  thread, ``join``/``leave`` mapped onto the
+  :class:`~repro.net.messages.JoinLeave` protocol messages, admission
+  control past a queue-depth watermark;
 * :class:`~repro.serve.httpd.DecisionServer` — the HTTP surface
   (``POST /decide``, ``POST /join``, ``POST /leave``, ``GET /state``,
   ``GET /healthz``, ``GET /metrics``) on the shared
@@ -40,7 +41,7 @@ from repro.serve.service import (
     ServeConfig,
     ServingCoordinator,
 )
-from repro.serve.wallclock import WallClockDriver, WallClockTransport
+from repro.serve.wallclock import WallClockDriver
 
 __all__ = [
     "AdmissionController",
@@ -53,5 +54,4 @@ __all__ = [
     "ServeConfig",
     "ServingCoordinator",
     "WallClockDriver",
-    "WallClockTransport",
 ]

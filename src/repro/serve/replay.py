@@ -16,7 +16,7 @@ sees — throughput, latency percentiles, shed rate:
 * one persistent ``http.client.HTTPConnection`` per worker (HTTP/1.1
   keep-alive), reconnecting on socket errors, so the measurement is the
   server's latency and not TCP handshakes;
-* every latency is kept exactly up to ``reservoir`` samples, beyond
+* every latency is kept exactly up to :data:`RESERVOIR` samples, beyond
   which a seeded reservoir sample keeps percentiles unbiased.
 
 The :class:`ReplayReport` converts to a ``repro.bench/v1``-normalisable
@@ -42,7 +42,8 @@ import numpy as np
 
 from repro.utils.validation import check_int_positive, check_non_negative
 
-_RESERVOIR_DEFAULT = 200_000
+#: Latency samples kept exactly; past it, a seeded reservoir sample.
+RESERVOIR = 200_000
 
 
 def bench_document(workloads: Iterable[dict], quick: bool = False) -> dict:
@@ -77,7 +78,6 @@ class ReplayConfig:
     seed: int = 0
     timeout: float = 10.0           #: per-request socket timeout (seconds)
     wait_secs: float = 10.0         #: readiness poll budget on /healthz
-    reservoir: int = _RESERVOIR_DEFAULT   #: max latency samples kept exactly
 
     def __post_init__(self) -> None:
         check_int_positive("requests", self.requests)
@@ -86,7 +86,6 @@ class ReplayConfig:
         check_int_positive("workers", self.workers)
         if self.devices is not None:
             check_int_positive("devices", self.devices)
-        check_int_positive("reservoir", self.reservoir)
 
 
 @dataclass
@@ -280,12 +279,11 @@ def run_replay(config: ReplayConfig) -> ReplayReport:
                 # Reservoir sampling keeps percentile estimates unbiased
                 # past the cap without storing millions of floats.
                 seen += 1
-                cap = config.reservoir
-                if len(samples) < cap:
+                if len(samples) < RESERVOIR:
                     samples.append(elapsed)
                 else:
                     j = int(sample_rng.integers(0, seen))
-                    if j < cap:
+                    if j < RESERVOIR:
                         samples[j] = elapsed
         finally:
             client.close()

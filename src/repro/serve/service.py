@@ -40,16 +40,17 @@ time their computation.
 
 Every ``decide`` answers with columns (:class:`Decisions`) and doubles
 as one :class:`~repro.net.messages.ReportBatch` to the coordinator
-(marshalled onto the driver thread as a single message, whatever the
-batch size, and scattered into the base coordinator's report table as
-it arrives), so the service measures γ from the traffic it actually
-serves; with a frozen population querying steadily, the γ̂ trajectory
-settles onto the same fixed point as the offline
-:func:`repro.core.dtu.run_dtu` (pinned by ``tests/test_serve.py``).
+(``decide → WallClockDriver.submit → ServingCoordinator.receive``: one
+message on the loop thread, whatever the batch size, scattered into the
+base coordinator's report table as it arrives), so the service measures
+γ from the traffic it actually serves; with a frozen population querying
+steadily, the γ̂ trajectory settles onto the same fixed point as the
+offline :func:`repro.core.dtu.run_dtu` (pinned by
+``tests/test_serve.py``).
 
 **Staleness semantics** — responses carry ``stale: true`` when the γ̂
 they answer from predates the last re-estimation deadline by more than
-``staleness_factor`` round periods: a round is still in flight (backed
+:data:`STALENESS_FACTOR` round periods: a round is still in flight (backed
 off after silence, or starved under overload) and the served estimate
 may be superseded.  Clients that care re-query; clients that don't still
 get the best available answer.
@@ -70,12 +71,12 @@ from repro.core.kernels import (
     check_kernel,
     compile_mean_field,
 )
-from repro.net.actors import EDGE_ADDRESS, EdgeCoordinator, FleetResponses
+from repro.net.actors import EdgeCoordinator, FleetResponses
 from repro.net.messages import JoinLeave, ReportBatch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ObsRecorder, Recorder, finish_spans
 from repro.population.sampler import Population
-from repro.serve.wallclock import WallClockDriver, WallClockTransport
+from repro.serve.wallclock import WallClockDriver
 from repro.simulation.online import WindowedRateEstimator
 from repro.utils.validation import (
     check_int_positive,
@@ -83,9 +84,8 @@ from repro.utils.validation import (
     check_unit_interval,
 )
 
-#: The transport address report batches are sent from: one request
-#: speaks for many devices.
-SERVICE_ADDRESS = "service"
+#: Round periods a served γ̂ may be overdue before a response is "stale".
+STALENESS_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,6 @@ class ServeConfig:
     watermark: int = 64              #: max in-flight decide requests
     max_batch: int = 100_000         #: devices per decide request
     auto_join: bool = True           #: first decide implies a JoinLeave
-    staleness_factor: float = 2.0    #: rounds overdue before γ̂ is "stale"
     load_window: float = 10.0        #: trailing window for the load gauge
     #: nominal decisions/s (load = 1.0): what one daemon serves —
     #: perfbench serve-batch's ``decisions_per_s`` on the recording host
@@ -145,7 +144,6 @@ class ServeConfig:
         check_int_positive("max_rounds", self.max_rounds)
         check_int_positive("watermark", self.watermark)
         check_int_positive("max_batch", self.max_batch)
-        check_positive("staleness_factor", self.staleness_factor)
         check_positive("load_window", self.load_window)
         check_positive("rate_capacity", self.rate_capacity)
 
@@ -202,10 +200,11 @@ class ServingCoordinator(EdgeCoordinator):
       don't exist;
     * **membership starts empty** (``joined=False``) — the provisioned
       fleet joins explicitly, or implicitly on first decide;
-    * **reports are applied on arrival, a batch at a time** — the
-      coordinator's delivery handler is :meth:`_handle`, not its inbox:
-      each :class:`ReportBatch` goes into the base report table as it is
-      delivered, with O(B) vector ops under the base rules, and every
+    * **reports are applied on arrival, a batch at a time** — nothing
+      sends to it, so it builds its base with ``transport=None`` (no
+      inbox registered) and the service calls :meth:`receive` on the
+      loop thread, which puts each :class:`ReportBatch` into the base
+      report table with O(B) vector ops under the base rules, and every
       other message through the base's scalar writes.
 
     The round timer, the report table, the measurement, the stepper and
@@ -215,10 +214,9 @@ class ServingCoordinator(EdgeCoordinator):
 
     def __init__(self, *args, responses: FleetResponses,
                  joined: bool = False, **kwargs):
-        super().__init__(*args, joined=joined, **kwargs)
+        super().__init__(*args, transport=None, joined=joined, **kwargs)
         self.responses = responses
         self._last_row = np.full(self._known.size, -1, dtype=np.int64)
-        self.transport.register(self.address, self._handle)
         self.last_round_ended = 0.0
         self.last_round_status = "init"
         self.rounds_completed = 0
@@ -249,12 +247,12 @@ class ServingCoordinator(EdgeCoordinator):
         self.rounds_completed += 1
         super()._close_round_span(status, **tags)
 
-    def _handle(self, envelope) -> None:
-        """Apply one message as it is delivered (the transport's handler)."""
-        if isinstance(envelope.message, ReportBatch):
-            self._apply_batch(envelope.message, envelope.delivered_at)
+    def receive(self, message, at: float,
+                parent: Optional[int] = None) -> None:
+        if isinstance(message, ReportBatch):
+            self._apply_batch(message, at)
         else:
-            super()._handle(envelope)
+            super().receive(message, at, parent)
 
     def _apply_batch(self, batch: ReportBatch, at: float) -> None:
         """Apply one :class:`ReportBatch` as if row by row, in O(B).
@@ -352,8 +350,9 @@ class DecisionService:
     ``decide``/``join``/``leave``/``state`` there; any other thread may
     call them too.  They only *read* actor state (the published
     :class:`FleetAnswer` reference and plain floats/ints, GIL-atomic) —
-    every write is handed to the loop as real protocol messages
-    (:meth:`WallClockDriver.submit`).
+    every write is a real protocol message that a callable handed to the
+    loop (:meth:`WallClockDriver.submit`) passes to
+    :meth:`ServingCoordinator.receive`.
     """
 
     def __init__(
@@ -381,10 +380,8 @@ class DecisionService:
             self.registry = MetricsRegistry()
             self.recorder = ObsRecorder(self.registry)
         self.driver = WallClockDriver()
-        self.transport = WallClockTransport(self.driver, record_log=False)
         self.coordinator = ServingCoordinator(
             runtime=self.driver,
-            transport=self.transport,
             devices=range(population.size),
             capacity=population.capacity,
             config=self.config.protocol(),
@@ -469,8 +466,8 @@ class DecisionService:
         if report:
             batch = ReportBatch(ids, answer.round, thresholds, rates,
                                 joining=self.config.auto_join)
-            self.driver.submit(lambda: self.transport.send(
-                SERVICE_ADDRESS, EDGE_ADDRESS, batch))
+            self.driver.submit(lambda: self.coordinator.receive(
+                batch, self.driver.now))
         # Read the clock under the lock: the estimator needs its record
         # times in order across calling threads.
         with self._load_lock:
@@ -513,9 +510,10 @@ class DecisionService:
     # -- loop-thread ingestion (called via driver.submit only) -------------
 
     def _ingest_membership(self, ids: List[int], joining: bool) -> None:
+        receive = self.coordinator.receive
+        at = self.driver.now
         for device in ids:
-            self.transport.send(device, EDGE_ADDRESS,
-                                JoinLeave(device, joining))
+            receive(JoinLeave(device, joining), at)
 
     # -- state -------------------------------------------------------------
 
@@ -529,8 +527,7 @@ class DecisionService:
         if self.coordinator.rounds_completed == 0:
             return True      # nothing measured yet: γ̂ is the initial guess
         overdue = self.driver.now - self.coordinator.last_round_ended
-        return overdue > self.config.staleness_factor \
-            * self.config.round_period
+        return overdue > STALENESS_FACTOR * self.config.round_period
 
     def state(self) -> dict:
         """The service's JSON-ready ``/state`` document."""

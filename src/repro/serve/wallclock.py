@@ -1,66 +1,55 @@
-"""Wall-clock adapters for the virtual-time actor runtime.
+"""The wall-clock adapter for the virtual-time actor runtime.
 
-The :mod:`repro.net` actors are callbacks, and they touch their runtime
-only through ``runtime.now``, ``runtime.call_later`` / ``call_at``,
-``runtime.stop()`` and ``runtime.stopping``, plus a transport that calls
-their handlers.  That narrow surface is what makes the virtual-time
-:class:`~repro.net.clock.Runtime` deterministic, and it is also what makes
-a wall-clock bridge small: :class:`WallClockDriver` implements the same
-surface over a private asyncio loop on a daemon thread, so the
+A :mod:`repro.net` coordinator is a set of callbacks, and it touches its
+runtime only through ``runtime.now``, ``runtime.call_later``,
+``runtime.stop()`` and ``runtime.stopping``.  That narrow surface is
+what makes the virtual-time :class:`~repro.net.clock.Runtime`
+deterministic, and it is also what makes a wall-clock bridge small:
+:class:`WallClockDriver` implements the same surface over a private
+asyncio loop on a daemon thread, so the
 :class:`~repro.net.actors.EdgeCoordinator`'s round timer runs *unmodified*
 in real time — re-estimation rounds become wall-clock periods, report
 windows become wall-clock seconds.
 
 Single-threaded discipline carries over: everything that mutates actor
-state (handler calls, transport sends, scheduled callbacks) runs on the
-loop thread.  The daemon's HTTP connections are callbacks on the same
-loop (:attr:`WallClockDriver.loop`), so a request handler hands its
-protocol messages to :meth:`WallClockDriver.submit` as a plain
-``loop.call_soon``, queued between the actors' callbacks exactly like
-virtual-clock events; a foreign thread (an in-process caller) goes
+state (a message passed to the coordinator's ``receive``, a scheduled
+callback) runs on the loop thread.  The daemon's HTTP connections are
+callbacks on the same loop (:attr:`WallClockDriver.loop`), so a request
+handler hands its protocol messages to :meth:`WallClockDriver.submit` as
+a plain ``loop.call_soon``, queued between the actors' callbacks exactly
+like virtual-clock events; a foreign thread (an in-process caller) goes
 through ``loop.call_soon_threadsafe``.  Reads of plain floats/ints (γ̂,
 round numbers) from foreign threads are safe under the GIL and are the
-only cross-thread access the serving layer allows.
-
-:class:`WallClockTransport` is the matching
-:class:`~repro.net.transport.Transport`: real
-:class:`~repro.net.messages.Envelope` records delivered to the registered
-handlers, with a real :class:`~repro.net.messages.MessageLog`, except that
-zero-delay sends deliver synchronously (no event churn at serving rates)
-and ``send`` must already be on the loop thread.
+only cross-thread access the serving layer allows.  Nothing is sent over
+a transport: the coordinator's broadcast publishes, and the service
+calls ``receive`` directly.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import threading
 import time
 from typing import Callable, Optional, Sequence
-
-from repro.net.messages import Address, Envelope, Message, MessageLog
-from repro.net.transport import Handler
-from repro.obs.context import resolve_recorder
-from repro.obs.recorder import Recorder
 
 
 class WallClockDriver:
     """Runs actor callbacks against the wall clock on a daemon thread.
 
-    The :class:`repro.net.clock.Runtime` contract (``now``, ``call_at``,
-    ``call_later``, ``stop``, ``stopping``) over a private asyncio event
-    loop; :meth:`start` queues the actors' starts and spawns the loop
-    thread.  Every actor callback runs through one guard: the first
-    exception raised in one becomes :attr:`failure` and ends the actor
-    callbacks, so the daemon never serves from a dead coordinator.  The
-    actors ending is not the loop ending: whatever else runs on the loop
-    (the daemon's HTTP connections, answering ``/healthz`` 503) keeps
-    running until the owner calls :meth:`stop` from its own thread.
+    The part of the :class:`repro.net.clock.Runtime` contract a
+    coordinator uses (``now``, ``call_later``, ``stop``, ``stopping``)
+    over a private asyncio event loop; :meth:`start` queues the actors'
+    starts and spawns the loop thread.  Every actor callback runs
+    through one guard: the first exception raised in one becomes
+    :attr:`failure` and ends the actor callbacks, so the daemon never
+    serves from a dead coordinator.  The actors ending is not the loop
+    ending: whatever else runs on the loop (the daemon's HTTP
+    connections, answering ``/healthz`` 503) keeps running until the
+    owner calls :meth:`stop` from its own thread.
     """
 
     def __init__(self):
         self.stopping = False
-        self.events_fired = 0          # Runtime parity (diagnostic only)
         self.failure: Optional[BaseException] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -125,10 +114,11 @@ class WallClockDriver:
         """Run ``action`` on the loop thread (fire-and-forget, thread-safe).
 
         The serving layer's only write path into actor state: request
-        handlers package their protocol messages into a closure and hand
-        it over; the loop interleaves it between actor callbacks.  On the
-        loop thread — where the daemon's handlers run — that is a plain
-        ``call_soon``, with no wake-up write to the loop's self-pipe.
+        handlers hand over a closure that passes their protocol messages
+        to the coordinator's ``receive``; the loop interleaves it between
+        actor callbacks.  On the loop thread — where the daemon's
+        handlers run — that is a plain ``call_soon``, with no wake-up
+        write to the loop's self-pipe.
         """
         loop = self._loop
         if loop is None or self.stopping:
@@ -156,14 +146,9 @@ class WallClockDriver:
             except RuntimeError:
                 pass
 
-    def call_at(self, when: float, action: Callable[[], None]) -> None:
-        """Schedule ``action`` at ``when`` wall seconds since :meth:`start`."""
-        self.call_later(when - self.now, action)
-
     def _guarded(self, action: Callable[[], None]) -> None:
         if self.stopping:
             return
-        self.events_fired += 1
         try:
             action()
         except Exception as error:
@@ -177,54 +162,3 @@ class WallClockDriver:
         state = "stopped" if self.stopping or self._thread is None \
             else "running"
         return f"WallClockDriver(now={self.now:.3f}, {state})"
-
-
-class WallClockTransport:
-    """In-process message delivery over the wall clock.
-
-    The :class:`~repro.net.transport.Transport` protocol with the same
-    envelope stamping and fate accounting as
-    :class:`~repro.net.transport.LocalTransport`, minus the event-heap
-    hop: a zero-delay ``send`` delivers synchronously to the
-    destination's handler, so a message costs one envelope build, not a
-    scheduled callback.  ``send`` must run on the driver's loop
-    thread (callers marshal via :meth:`WallClockDriver.submit`), which
-    keeps handlers and the log single-threaded.
-    """
-
-    def __init__(self, driver: WallClockDriver, record_log: bool = False,
-                 recorder: Optional[Recorder] = None):
-        self.driver = driver
-        self.log = MessageLog(record_entries=record_log)
-        self._handlers: dict = {}
-        self._seq = itertools.count()
-        self._obs = resolve_recorder(recorder)
-
-    def register(self, address: Address, handler: Handler) -> None:
-        """Deliver every message addressed to ``address`` to ``handler``."""
-        self._handlers[address] = handler
-
-    def send(self, src: Address, dst: Address, message: Message,
-             delay: float = 0.0, parent: Optional[int] = None) -> None:
-        now = self.driver.now
-        envelope = Envelope(
-            seq=next(self._seq), src=src, dst=dst,
-            sent_at=now, delivered_at=now + delay, message=message,
-        )
-        self.log.record("sent", envelope)
-        if self._obs.enabled:
-            self._obs.count("net.messages_sent")
-        if delay > 0.0:
-            self.driver.call_later(delay, lambda: self._deliver(envelope))
-        else:
-            self._deliver(envelope)
-
-    def _deliver(self, envelope: Envelope) -> None:
-        handler = self._handlers.get(envelope.dst)
-        if handler is None:
-            self.log.record("unroutable", envelope, delivered=False)
-            return
-        self.log.record("delivered", envelope)
-        if self._obs.enabled:
-            self._obs.count("net.messages_delivered")
-        handler(envelope)

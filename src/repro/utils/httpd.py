@@ -179,18 +179,6 @@ class QuietHandler(BaseHTTPRequestHandler):
         self.send_json(status, {"error": error})
         return None
 
-    def drain_body(self, length: int) -> None:
-        """Consume ``length`` unread body bytes without parsing them.
-
-        The connection cuts each request off the wire whole, so body
-        bytes a handler leaves unread never reach the next request.
-        """
-        while length > 0:
-            chunk = self.rfile.read(min(length, 65536))
-            if not chunk:
-                break
-            length -= len(chunk)
-
     def read_json_body(self, length: int) -> dict:
         """The ``length``-byte body as a JSON object (``{}`` when empty).
 

@@ -13,7 +13,8 @@ reports the **tracking lag** ``|γ̂(t) − γ*(t)|`` at checkpoints.
 Two details make tracking work:
 
 * a converged stepper has shrunk its step to ``η₀/L``; when the schedule
-  jumps (a flash-crowd onset) the tracker calls
+  jumps (a flash-crowd onset: the factor moves by more than
+  :data:`RETARGET_THRESHOLD`) the tracker calls
   :meth:`~repro.core.dtu.DtuStepper.retarget` to restore ``η₀`` and
   re-open the stop test — otherwise γ̂ would crawl to the new target at
   the residual step size;
@@ -43,6 +44,9 @@ from repro.utils.validation import check_int_positive, check_positive, \
     check_unit_interval
 from repro.workload.schedule import ScheduleEngine, WorkloadScenario
 
+#: A schedule-factor jump |Δm| above which a converged stepper re-opens.
+RETARGET_THRESHOLD = 0.05
+
 
 @dataclass(frozen=True)
 class TrackingConfig:
@@ -55,7 +59,6 @@ class TrackingConfig:
     initial_estimate: float = 0.0    # γ̂₀
     checkpoint_every: int = 5        # γ*(t) cadence (every k-th step)
     levels: int = 0                  # >1: quantized compiled kernels
-    retarget_threshold: float = 0.05  # |Δm| that re-opens a converged stepper
     stop_on_convergence: bool = False  # True: stop like run_dtu does
 
     def __post_init__(self) -> None:
@@ -67,7 +70,6 @@ class TrackingConfig:
                             open_left=True, open_right=True)
         check_unit_interval("initial_estimate", self.initial_estimate)
         check_int_positive("checkpoint_every", self.checkpoint_every)
-        check_positive("retarget_threshold", self.retarget_threshold)
 
 
 @dataclass
@@ -148,8 +150,8 @@ def track_equilibrium(
             if previous_factor is not None:
                 # The schedule moved: a converged (step-shrunk) stepper
                 # must re-open, or it chases the new γ* at η₀/L.
-                if abs(factor - previous_factor) \
-                        > config.retarget_threshold and stepper.converged:
+                if abs(factor - previous_factor) > RETARGET_THRESHOLD \
+                        and stepper.converged:
                     stepper.retarget()
                     retargets += 1
                     if obs.enabled:

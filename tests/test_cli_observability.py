@@ -19,8 +19,9 @@ The contracts pinned here:
   for a finished run that opened no spans, and errors only while the
   trace is still being written;
 * **Teardown always happens** -- a live-metrics port is closed once
-  ``main`` returns, and a daemon that cannot bind its port stops its
-  coordinator and exits non-zero with a one-line error;
+  ``main`` returns, a daemon that cannot bind its port stops its
+  coordinator and exits non-zero with a one-line error, and a daemon
+  started with SIGINT ignored stops on SIGTERM as on Ctrl-C;
 * **The option sets are fixed** -- every subcommand's
   ``(option strings, dest, default, type)`` table is pinned.
 """
@@ -33,15 +34,20 @@ import hashlib
 import io
 import json
 import os
+import re
+import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import build_parser
 from repro.__main__ import main as repro_main
 from repro.obs.report import main as report_main
@@ -353,6 +359,45 @@ class TestServeCli:
         for name in TRACE_FILES:
             assert (tmp_path / name).is_file(), name
         assert _open_files_under(tmp_path) == []
+
+    def test_sigterm_shuts_down_like_ctrl_c(self, tmp_path):
+        """A non-interactive shell starts a background job with SIGINT
+        ignored, so ``kill -INT`` cannot stop it; SIGTERM must, with the
+        summary line, a closed trace and exit 0."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        # The launcher ignores SIGINT and execs the daemon, which inherits
+        # the ignored signal as a shell's background job does.
+        launcher = ("import os, signal, sys; "
+                    "signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                    "os.execv(sys.executable, "
+                    "[sys.executable] + sys.argv[1:])")
+        daemon = subprocess.Popen(
+            [sys.executable, "-c", launcher, "-u", "-m", "repro", "serve",
+             "--users", "200", "--port", "0", "--round-period", "0.2",
+             "--trace", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        # A daemon that never gets ready is killed, which ends its output.
+        watchdog = threading.Timer(60.0, daemon.kill)
+        watchdog.start()
+        try:
+            out = ""
+            for line in daemon.stdout:
+                out += line
+                if line.startswith("serving decisions at"):
+                    break
+            daemon.send_signal(signal.SIGTERM)
+            code = daemon.wait(timeout=5.0)
+            out += daemon.stdout.read()
+        finally:
+            watchdog.cancel()
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+            daemon.stdout.close()
+        assert code == 0, out
+        assert re.search(r"^served \d+ requests", out, re.MULTILINE), out
+        assert (tmp_path / "metrics.json").is_file()
 
 
 @pytest.mark.serve

@@ -214,6 +214,7 @@ class TestMetricsServer:
             url = server.url.replace("/metrics", "/other")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(url, timeout=5)
+            excinfo.value.close()     # the error holds the client socket
             assert excinfo.value.code == 404
 
 

@@ -198,7 +198,7 @@ class TestServeConfig:
         {"max_batch": 0},
         {"silence_decay": 1.5},
         {"initial_step": 0.0},
-        {"staleness_factor": -1.0},
+        {"load_window": 0.0},
         # A backoff ceiling under the base wait would shorten the wait.
         {"round_period": 2.0, "max_backoff": 1.0},
     ])
@@ -1162,7 +1162,6 @@ class TestReplay:
                 self.send_json(200, {"status": "ok"})
 
             def do_POST(self):
-                self.drain_body(int(self.headers["Content-Length"]))
                 if not stalled:
                     stalled.append(True)
                     time.sleep(stall)

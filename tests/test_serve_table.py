@@ -2,15 +2,16 @@
 
 :class:`~repro.net.actors.EdgeCoordinator` keeps its report table as
 columns over the fleet's ids, and two paths write it: the scalar path
-(the base handler: one ``JoinLeave``, ``ThresholdReport`` or
+(the base ``receive``: one ``JoinLeave``, ``ThresholdReport`` or
 ``Heartbeat`` at a time, buffered in the inbox until a drain) and the
 batch path (:class:`~repro.serve.service.ServingCoordinator`: one
-:class:`~repro.net.messages.ReportBatch` per ``/decide`` request, applied
-as it is delivered).  The reference, :class:`_Reference`, is the
-per-message dict table the columns replaced.  All three see the same
-traffic: a batch is one ``ReportBatch`` to the serving coordinator and,
-to the scalar coordinator and the reference, one ``JoinLeave`` (when the
-batch joins) plus one ``ThresholdReport`` per row.
+:class:`~repro.net.messages.ReportBatch` per ``/decide`` request, passed
+to its ``receive`` as the daemon does, with no transport).  The
+reference, :class:`_Reference`, is the per-message dict table the
+columns replaced.  All three see the same traffic: a batch is one
+``ReportBatch`` to the serving coordinator and, to the scalar
+coordinator and the reference, one ``JoinLeave`` (when the batch joins)
+plus one ``ThresholdReport`` per row.
 
 Scripts mix duplicate ids within a batch, stale and out-of-order rounds
 (callers on two threads interleaving), heartbeats, leaves and re-joins, and
@@ -134,14 +135,17 @@ class _Wire:
 
 
 def _coordinator(cls, config, devices, joined: bool):
+    # The serving coordinator has no transport: nothing sends to it.
     extra = {"responses": FleetResponses(KERNEL)} \
-        if cls is ServingCoordinator else {}
-    return cls(runtime=Runtime(), transport=_Wire(), devices=devices,
-               capacity=CAPACITY, config=config, fleet_size=N_DEVICES,
-               joined=joined, **extra)
+        if cls is ServingCoordinator else {"transport": _Wire()}
+    return cls(runtime=Runtime(), devices=devices, capacity=CAPACITY,
+               config=config, fleet_size=N_DEVICES, joined=joined, **extra)
 
 
 def _deliver(coordinator, message, at: float) -> None:
+    if coordinator.transport is None:      # the daemon's: on arrival
+        coordinator.receive(message, at)
+        return
     coordinator.transport.handlers[EDGE_ADDRESS](Envelope(
         seq=0, src=0, dst=EDGE_ADDRESS, sent_at=at, delivered_at=at,
         message=message))

@@ -185,16 +185,15 @@ class TestAccuracy:
         its home: every report a site receives carries that site's round
         and the home kernel's best response to the home γ̂."""
         received = []
-        handle = SiteCoordinator._handle
+        receive = SiteCoordinator.receive
 
-        def recording_handle(coordinator, envelope):
-            if isinstance(envelope.message, ThresholdReport):
+        def recording_receive(coordinator, message, at, parent=None):
+            if isinstance(message, ThresholdReport):
                 received.append((coordinator.site, coordinator.round,
-                                 coordinator.stepper.estimate,
-                                 envelope.message))
-            handle(coordinator, envelope)
+                                 coordinator.stepper.estimate, message))
+            receive(coordinator, message, at, parent)
 
-        monkeypatch.setattr(SiteCoordinator, "_handle", recording_handle)
+        monkeypatch.setattr(SiteCoordinator, "receive", recording_receive)
         run_sharded_dtu(system, ShardedNetConfig(migrate=False,
                                                  max_rounds=40))
         assert received
