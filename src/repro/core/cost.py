@@ -14,6 +14,10 @@ For user ``n`` with threshold ``x`` and edge utilisation ``γ``::
 ``edge_delay`` in this module is always the *evaluated* ``g(γ)`` so the cost
 code stays independent of the edge-delay model (see
 :mod:`repro.simulation.edge` for the ``g`` functions themselves).
+
+:func:`arm_costs` prices one task on each arm instead of a threshold
+policy: what a learning device (:class:`repro.net.actors.LearningDeviceAgent`)
+compares when it cannot run Lemma 1.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ from repro.population.user import UserProfile
 from repro.utils.validation import check_non_negative
 
 ArrayLike = Union[float, np.ndarray]
+
+#: Sojourn cap for an unstable keep-all queue (a_n ≥ s_n): the local arm
+#: is priced as if the queue were this many service times deep.
+_SOJOURN_CAP_SERVICES = 100.0
 
 
 @dataclass(frozen=True)
@@ -96,3 +104,33 @@ def population_average_cost(
     """Population-mean of Eq. (1) — the quantity Table III compares."""
     return float(population_costs(
         population, thresholds, edge_delay, queue_alpha=queue_alpha).mean())
+
+
+def arm_costs(
+    estimate: float,
+    edge_delay: float,
+    offload_latency: float,
+    weight: float,
+    energy_local: float,
+    energy_offload: float,
+    arrival_rate: float,
+    service_rate: float,
+) -> Tuple[float, float]:
+    """``(local, offload)`` per-task costs at broadcast estimate γ̂.
+
+    * offload: ``g(γ̂) + τ_n + w_n·p_n^E`` — the Eq. 3 surcharge a
+      Lemma-1 device compares against its queue;
+    * local: ``w_n·p_n^L + 1/(s_n − a_n)`` — energy plus the stationary
+      M/M/1 sojourn if the device kept *everything* (capped when
+      a_n ≥ s_n, where keep-all is unstable and the cost is effectively
+      infinite).
+
+    ``edge_delay`` is ``g(γ̂)`` — already evaluated, so policies need no
+    delay-model reference. Pure and rng-free.
+    """
+    offload = edge_delay + offload_latency + weight * energy_offload
+    slack = service_rate - arrival_rate
+    floor = service_rate / _SOJOURN_CAP_SERVICES
+    sojourn = 1.0 / max(slack, floor)
+    local = weight * energy_local + sojourn
+    return local, offload

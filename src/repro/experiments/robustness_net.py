@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.core.dtu import DtuConfig, run_dtu
 from repro.core.equilibrium import solve_mfne
 from repro.core.meanfield import MeanFieldMap

@@ -14,13 +14,17 @@ while the :class:`~repro.net.clock.Runtime` keeps every run bit-identical
 for a given seed.
 
 Entry points: :func:`~repro.net.protocol.run_net_dtu` (single edge; CLI:
-``python -m repro net``) and :func:`~repro.net.sharded.run_sharded_dtu`
-(one coordinator per site with γ̂ gossip, delay probes, and device
-migration; CLI: ``python -m repro sharded``).
+``python -m repro net``; a rate schedule and learning policies make it
+the workload runner, :func:`repro.workload.run_workload_net`) and
+:func:`~repro.net.sharded.run_sharded_dtu` (one coordinator per site
+with γ̂ gossip, delay probes, and device migration; CLI:
+``python -m repro sharded``). Both take their runtime, transport and
+churn from :func:`~repro.net.protocol.build_environment` and are driven
+by :func:`~repro.net.protocol.run_fleet`.
 """
 
 from repro.net.actors import (EDGE_ADDRESS, DeviceAgent, EdgeCoordinator,
-                              FleetResponses, NetTrace)
+                              FleetResponses, LearningDeviceAgent, NetTrace)
 from repro.net.churn import ChurnConfig, ChurnModel
 from repro.net.clock import Runtime
 from repro.net.messages import (
@@ -41,7 +45,7 @@ from repro.net.protocol import (
     NetConfig,
     NetDtuResult,
     build_devices,
-    build_transport,
+    build_environment,
     run_net_dtu,
     with_faults,
 )
@@ -78,6 +82,7 @@ __all__ = [
     "GammaGossip",
     "Heartbeat",
     "JoinLeave",
+    "LearningDeviceAgent",
     "LocalTransport",
     "Message",
     "MessageLog",
@@ -94,7 +99,7 @@ __all__ = [
     "ThresholdReport",
     "Transport",
     "build_devices",
-    "build_transport",
+    "build_environment",
     "run_net_dtu",
     "run_sharded_dtu",
     "site_address",

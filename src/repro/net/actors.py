@@ -28,6 +28,8 @@ fault-free synchronous run reproduce ``run_dtu`` trajectories exactly
 (pinned by ``tests/test_net.py``); a modulated device, whose rate no
 kernel tabulates, runs the same arithmetic as a scalar staircase search
 (:func:`repro.core.best_response.optimal_threshold_from_surcharge`).
+A :class:`LearningDeviceAgent` replaces Lemma 1 with a learning policy
+(:mod:`repro.workload.agents`) and keeps the rest of the device.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.best_response import optimal_threshold_from_surcharge
+from repro.core.cost import arm_costs
 from repro.core.dtu import DtuStepper
 from repro.core.edge_delay import EdgeDelayModel
 from repro.core.kernels import CompiledMeanField
@@ -292,6 +295,50 @@ class DeviceAgent:
         self.transport.send(self.address, self.edge_address,
                             JoinLeave(self.address, alive))
 
+
+class LearningDeviceAgent(DeviceAgent):
+    """A device that *learns* whether to offload instead of computing it.
+
+    Inherits the whole protocol plumbing (delivery handler, heartbeats,
+    churn hooks) from :class:`DeviceAgent`; only the broadcast response
+    is replaced. Each round the agent prices both arms at the broadcast γ̂
+    (:func:`repro.core.cost.arm_costs`), asks its ``policy`` (a
+    :class:`repro.workload.agents.AgentPolicy`) for an offload mix
+    ``p``, and reports the offered rate ``a_n·m(t)·p``.
+
+    Learning devices have no threshold; the report's threshold field
+    carries ``p`` instead (purely diagnostic — the coordinator's Eq. 6
+    measurement reads only the offered rate).
+    """
+
+    def __init__(self, *args, policy, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.policy = policy
+
+    def _respond(self, estimate: float, broadcast_round: int,
+                 parent: Optional[int] = None) -> None:
+        rate = self.instantaneous_rate()
+        local, offload = arm_costs(
+            estimate=estimate,
+            edge_delay=float(self.delay_model(estimate)),
+            offload_latency=self.offload_latency,
+            weight=self.weight,
+            energy_local=self.energy_local,
+            energy_offload=self.energy_offload,
+            arrival_rate=rate,
+            service_rate=self.service_rate,
+        )
+        mix = self.policy.act(local, offload)
+        self.threshold = float(mix)
+        self.offload_rate = rate * float(mix)
+        self.reports_sent += 1
+        self.transport.send(
+            self.address, self.edge_address,
+            ThresholdReport(self.address, broadcast_round,
+                            self.threshold, self.offload_rate),
+            delay=self.report_delay,
+            parent=parent,
+        )
 
 @dataclass
 class NetTrace:

@@ -1,13 +1,21 @@
 """Wire the actors together: configuration, runner, and result types.
 
 :func:`run_net_dtu` is the network-runtime analogue of
-:func:`repro.core.dtu.run_dtu`: it builds a deterministic
-:class:`~repro.net.clock.Runtime`, a :class:`~repro.net.transport.LocalTransport`
-(optionally wrapped in a :class:`~repro.net.transport.FaultyTransport`),
-one :class:`~repro.net.actors.DeviceAgent` per user of a
-:class:`~repro.population.sampler.Population`, and an
-:class:`~repro.net.actors.EdgeCoordinator`, then drives the whole fleet to
-convergence (or the horizon) in virtual time.
+:func:`repro.core.dtu.run_dtu`, and the one code that builds and runs a
+single-edge fleet: it takes a run's environment from
+:func:`build_environment` (a deterministic
+:class:`~repro.net.clock.Runtime`, a
+:class:`~repro.net.transport.LocalTransport` optionally wrapped in a
+:class:`~repro.net.transport.FaultyTransport`, and the churn timelines),
+one device per user of a
+:class:`~repro.population.sampler.Population` from :func:`build_devices`,
+and an :class:`~repro.net.actors.EdgeCoordinator`, then drives the whole
+fleet to convergence (or the horizon) in virtual time through
+:func:`run_fleet`. The sharded runner
+(:func:`repro.net.sharded.run_sharded_dtu`) shares the environment and
+the drive; the workload runner
+(:func:`repro.workload.runner.run_workload_net`) is this function with a
+rate schedule ``modulation`` and learning ``policies``.
 
 Two contracts, both pinned by ``tests/test_net.py``:
 
@@ -27,13 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.edge_delay import PAPER_DELAY_MODEL, EdgeDelayModel
 from repro.net.actors import (
-    DeviceAgent, EdgeCoordinator, FleetResponses, NetTrace,
+    DeviceAgent, EdgeCoordinator, FleetResponses, LearningDeviceAgent,
+    NetTrace,
 )
 from repro.core.kernels import (
     CompiledMeanField,
@@ -43,7 +50,9 @@ from repro.core.kernels import (
 from repro.net.churn import ChurnConfig, ChurnModel
 from repro.net.clock import Runtime
 from repro.net.messages import MessageLog
-from repro.net.transport import FaultConfig, FaultyTransport, LocalTransport
+from repro.net.transport import (
+    FaultConfig, FaultyTransport, LocalTransport, Transport,
+)
 from repro.obs.context import resolve_recorder
 from repro.obs.recorder import Recorder, finish_spans
 from repro.population.sampler import Population
@@ -138,26 +147,33 @@ class NetDtuResult:
         return self.log.delivered_fraction
 
 
-def build_transport(
-    runtime: Runtime,
+def build_environment(
     config: NetConfig,
-    fault_seed: SeedLike,
+    n_devices: int,
     recorder: Optional[Recorder] = None,
-):
-    """``(transport, local)`` for a run: the local transport, wrapped in a
-    :class:`FaultyTransport` when the config injects faults.
+) -> Tuple[Runtime, Transport, Optional[ChurnModel]]:
+    """``(runtime, transport, churn_model)`` for a run over ``n_devices``.
 
-    ``transport`` is what actors send through; ``local`` is the underlying
-    :class:`LocalTransport` (``transport is local`` iff the run is
-    fault-free), whose message log both share.
+    A fresh :class:`Runtime`; the :class:`LocalTransport`, wrapped in a
+    :class:`FaultyTransport` when the config injects faults (both share
+    one message log); and the devices' churn timelines up to the run's
+    horizon, or None when nothing churns. The fault and churn seeds are
+    the first two children of ``config.seed``
+    (:func:`~repro.runtime.task.derive_seeds` is prefix-stable), so every
+    runner draws the same streams from the same config.
     """
-    local = LocalTransport(runtime, record_log=config.log_messages,
-                           recorder=recorder)
-    transport = local
+    fault_seed, churn_seed = derive_seeds(config.seed, 2)
+    runtime = Runtime()
+    transport = LocalTransport(runtime, record_log=config.log_messages,
+                               recorder=recorder)
     if config.faults is not None and not config.faults.faultless:
-        transport = FaultyTransport(local, config.faults, seed=fault_seed,
-                                    recorder=recorder)
-    return transport, local
+        transport = FaultyTransport(transport, config.faults,
+                                    seed=fault_seed, recorder=recorder)
+    churn_model = None
+    if config.churn is not None and not config.churn.static:
+        churn_model = ChurnModel(config.churn, n_devices,
+                                 config.resolved_horizon(), seed=churn_seed)
+    return runtime, transport, churn_model
 
 
 def build_devices(
@@ -169,8 +185,11 @@ def build_devices(
     churn_model: Optional[ChurnModel] = None,
     kernel: Optional[CompiledMeanField] = None,
     recorder: Optional[Recorder] = None,
+    *,
+    modulation: Optional[Callable[[float], float]] = None,
+    policies: Optional[Sequence] = None,
 ) -> List[DeviceAgent]:
-    """One :class:`DeviceAgent` per user, in index order.
+    """One device per user, in index order.
 
     ``kernel`` (a :class:`repro.core.kernels.CompiledMeanField` built for
     ``population`` + ``delay_model``, checked by
@@ -179,6 +198,13 @@ def build_devices(
     the precompiled staircase (:class:`~repro.net.actors.FleetResponses`),
     and each agent reads its row. Without one the agents run the scalar
     staircase search — the path for modulated fleets.
+
+    ``modulation`` is a rate schedule ``m(t)`` every device answers at
+    (``a_n·m(t)``; it needs ``kernel=None``). With ``policies``, one
+    learning policy per user (:mod:`repro.workload.agents`), device ``n``
+    is a :class:`~repro.net.actors.LearningDeviceAgent` playing
+    ``policies[n]``; otherwise every device is a Lemma-1
+    :class:`DeviceAgent`.
     """
     responses = None
     if kernel is not None:
@@ -186,8 +212,10 @@ def build_devices(
         responses = FleetResponses(kernel)
     devices = []
     for index in range(population.size):
+        agent = DeviceAgent if policies is None else partial(
+            LearningDeviceAgent, policy=policies[index])
         report_delay = churn_model.report_delay(index) if churn_model else 0.0
-        devices.append(DeviceAgent(
+        devices.append(agent(
             index=index,
             arrival_rate=float(population.arrival_rates[index]),
             service_rate=float(population.service_rates[index]),
@@ -201,6 +229,7 @@ def build_devices(
             heartbeat_interval=heartbeat_interval,
             report_delay=report_delay,
             responses=responses,
+            modulation=modulation,
             recorder=recorder,
         ))
     return devices
@@ -237,6 +266,9 @@ def run_net_dtu(
     config: Optional[NetConfig] = None,
     delay_model: Optional[EdgeDelayModel] = None,
     recorder: Optional[Recorder] = None,
+    *,
+    modulation: Optional[Callable[[float], float]] = None,
+    policies: Optional[Sequence] = None,
 ) -> NetDtuResult:
     """Run the message-passing DTU protocol over ``population``.
 
@@ -252,32 +284,38 @@ def run_net_dtu(
     recorder:
         Observability sink (see :mod:`repro.obs`); defaults to the ambient
         recorder.
+    modulation:
+        Optional arrival-rate schedule ``m(t)`` (see
+        :mod:`repro.workload.schedule`): every device answers at its
+        instantaneous rate ``a_n·m(t)`` by the scalar staircase.
+    policies:
+        Optional learning policy per device (see
+        :mod:`repro.workload.agents`), played in place of Lemma 1.
 
-    The fleet shares one :class:`repro.core.kernels.CompiledMeanField`, so
-    every broadcast estimate is answered by one batched probe over the
-    fleet.
+    With neither, the fleet shares one
+    :class:`repro.core.kernels.CompiledMeanField`, so every broadcast
+    estimate is answered by one batched probe over the fleet; compiled
+    tables are stationary and learning devices have no threshold, so
+    either input leaves the kernel out.
     """
     config = config or NetConfig()
     delay_model = delay_model if delay_model is not None else PAPER_DELAY_MODEL
     obs = resolve_recorder(recorder)
-    fault_seed, churn_seed = derive_seeds(config.seed, 2)
-
-    runtime = Runtime()
-    transport, local = build_transport(runtime, config, fault_seed,
-                                       recorder=recorder)
-
+    runtime, transport, churn_model = build_environment(
+        config, population.size, recorder=recorder)
     horizon = config.resolved_horizon()
-    churn_model = None
-    if config.churn is not None and not config.churn.static:
-        churn_model = ChurnModel(config.churn, population.size, horizon,
-                                 seed=churn_seed)
 
+    kernel = None
+    if modulation is None and policies is None:
+        kernel = compile_mean_field(population, delay_model)
     devices = build_devices(
         population, delay_model, runtime, transport,
         heartbeat_interval=config.heartbeat_interval,
         churn_model=churn_model,
-        kernel=compile_mean_field(population, delay_model),
+        kernel=kernel,
         recorder=recorder,
+        modulation=modulation,
+        policies=policies,
     )
     coordinator = EdgeCoordinator(
         runtime=runtime,
@@ -291,7 +329,7 @@ def run_net_dtu(
         obs.event(
             "net.start", n_devices=population.size,
             seed=str(config.seed), horizon=horizon,
-            faulty=transport is not local,
+            faulty=isinstance(transport, FaultyTransport),
             churning=churn_model is not None,
         )
 

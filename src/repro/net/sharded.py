@@ -55,7 +55,6 @@ from repro.net.actors import (
     FleetResponses,
     NetTrace,
 )
-from repro.net.churn import ChurnModel
 from repro.net.clock import Runtime
 from repro.net.messages import (
     DelayProbe,
@@ -65,12 +64,14 @@ from repro.net.messages import (
     MessageLog,
     ShardBroadcast,
 )
-from repro.net.protocol import NetConfig, build_transport, run_fleet
-from repro.net.transport import Transport
+from repro.net.protocol import NetConfig, build_environment, run_fleet
+from repro.net.transport import FaultyTransport, Transport
 from repro.obs.context import resolve_recorder
 from repro.obs.recorder import Recorder
-from repro.runtime.task import derive_seeds
-from repro.utils.validation import check_unit_interval
+
+#: EWMA weight of a fresh inter-site delay sample against the running
+#: estimate.
+DELAY_SMOOTHING = 0.3
 
 
 def site_address(site: int) -> str:
@@ -89,8 +90,6 @@ class ShardedNetConfig(NetConfig):
     #: Send delay probes to every peer each ``probe_interval`` rounds;
     #: 0 disables probing.
     probe_interval: int = 1
-    #: EWMA weight of a fresh delay sample against the running estimate.
-    delay_smoothing: float = 0.3
     #: Allow devices to switch sites when their argmin moves. Off, the
     #: initial assignment is frozen (an ablation: gossip without balancing).
     migrate: bool = True
@@ -101,8 +100,6 @@ class ShardedNetConfig(NetConfig):
             raise ValueError("gossip_staleness must be positive or None")
         if self.probe_interval < 0:
             raise ValueError("probe_interval must be >= 0")
-        check_unit_interval("delay_smoothing", self.delay_smoothing,
-                            open_left=True)
 
 
 class ShardedDeviceAgent(DeviceAgent):
@@ -365,10 +362,10 @@ class SiteCoordinator(EdgeCoordinator):
         elif isinstance(message, DelayProbeReply):
             sample = (at - message.probe_sent_at) / 2.0
             previous = float(self.delay_estimates[message.site])
-            weight = self.config.delay_smoothing
             self.delay_estimates[message.site] = sample \
                 if math.isnan(previous) \
-                else (1.0 - weight) * previous + weight * sample
+                else ((1.0 - DELAY_SMOOTHING) * previous
+                      + DELAY_SMOOTHING * sample)
         else:
             super().receive(message, at, parent)
 
@@ -461,19 +458,11 @@ def run_sharded_dtu(
     """
     config = config or ShardedNetConfig()
     obs = resolve_recorder(recorder)
-    fault_seed, churn_seed = derive_seeds(config.seed, 2)
     population = system.population
     n_sites = system.n_sites
-
-    runtime = Runtime()
-    transport, local = build_transport(runtime, config, fault_seed,
-                                       recorder=recorder)
-
+    runtime, transport, churn_model = build_environment(
+        config, population.size, recorder=recorder)
     horizon = config.resolved_horizon()
-    churn_model = None
-    if config.churn is not None and not config.churn.static:
-        churn_model = ChurnModel(config.churn, population.size, horizon,
-                                 seed=churn_seed)
 
     site_responses = None
     if modulation is None:
@@ -528,7 +517,7 @@ def run_sharded_dtu(
         obs.event(
             "sharded.start", n_devices=population.size, n_sites=n_sites,
             seed=str(config.seed), horizon=horizon,
-            faulty=transport is not local,
+            faulty=isinstance(transport, FaultyTransport),
             churning=churn_model is not None,
             migrate=config.migrate,
         )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.utils.httpd import HttpDaemon, QuietHandler
 

@@ -87,6 +87,13 @@ def solve_admission_mdp(
     -----
     Uniformized at ``Λ = a + s``. The span-seminorm stopping rule bounds
     the gain error by ``tolerance``.
+
+    Ties go to admitting, as in Lemma 1: a state admits when its admit
+    value exceeds its offload value by at most 8 ulps of the offload
+    value (``8·spacing(|offload value|)``). Value iteration leaves the two
+    values of an exact tie a few ulps apart either way; a genuine gap is
+    far wider (≈500 ulps at the smallest seen), so a band as wide as
+    ``tolerance`` would move real thresholds.
     """
     a = check_positive("arrival_rate", arrival_rate)
     s = check_positive("service_rate", service_rate)
@@ -129,7 +136,8 @@ def solve_admission_mdp(
     h_up[-1] = h[-1] + 1e6
     admit_value = local_energy_cost + h_up
     offload_value = offload_cost + h
-    admit = admit_value <= offload_value
+    admit = admit_value - offload_value \
+        <= 8 * np.spacing(np.abs(offload_value))
     h_down = np.empty_like(h)
     h_down[1:] = h[:-1]
     h_down[0] = h[0]

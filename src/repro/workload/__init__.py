@@ -10,17 +10,24 @@ moving environment it is supposed to survive. Three layers:
   tracker and the γ̂-lag report;
 * :mod:`repro.workload.agents` / :mod:`repro.workload.runner` — learning
   device policies (ε-greedy, multiplicative weights) and
-  :func:`run_workload_net`, the network-runtime runner that degenerates
-  bit-for-bit to :func:`repro.net.protocol.run_net_dtu` when every knob
-  is at its default.
+  :func:`run_workload_net`, which turns a scenario into
+  :func:`repro.net.protocol.run_net_dtu`'s rate schedule and policies
+  and adds the lag report; with every knob at its default it *is*
+  ``run_net_dtu``.
+
+The learning device (``LearningDeviceAgent``, from :mod:`repro.net.actors`)
+and its arm prices (``arm_costs``, from :mod:`repro.core.cost`) live
+beside the code that runs and prices Lemma-1 devices; they are exported
+here too.
 """
 
+from repro.core.cost import arm_costs
+from repro.net.actors import LearningDeviceAgent
 from repro.workload.agents import (
     AGENT_POLICIES,
     AgentPolicy,
     EpsilonGreedyPolicy,
     MultiplicativeWeightsPolicy,
-    arm_costs,
     make_policy,
 )
 from repro.workload.schedule import (
@@ -44,7 +51,6 @@ from repro.workload.tracking import (
     track_equilibrium,
 )
 from repro.workload.runner import (
-    LearningDeviceAgent,
     WorkloadNetConfig,
     WorkloadNetResult,
     run_workload_net,

@@ -22,21 +22,17 @@ coordinator: it still broadcasts γ̂ and measures offered offload rates
 convergence gap ``|γ̂ − γ*|`` against the Lemma-1 baseline at matched
 seeds.
 
-The arm-cost model (:func:`arm_costs`) prices one task:
-
-* offload: ``g(γ̂) + τ_n + w_n·p_n^E`` — the Eq. 3 surcharge a Lemma-1
-  device compares against its queue;
-* local: ``w_n·p_n^L + 1/(s_n − a_n)`` — energy plus the stationary
-  M/M/1 sojourn if the device kept *everything* (capped when a_n ≥ s_n,
-  where keep-all is unstable and the cost is effectively infinite).
-
-A device playing "offload" with probability ``p`` offers ``a_n·p`` to
-the edge — the DPO-style fluid split the coordinator measures.
+The two arm costs are :func:`repro.core.cost.arm_costs`: the per-task
+price of offloading (the Eq. 3 surcharge) and of keeping every task
+local (energy plus the M/M/1 sojourn). The device that plays a policy is
+:class:`repro.net.actors.LearningDeviceAgent`. A device playing
+"offload" with probability ``p`` offers ``a_n·p`` to the edge — the
+DPO-style fluid split the coordinator measures.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -48,43 +44,15 @@ __all__ = [
     "AgentPolicy",
     "EpsilonGreedyPolicy",
     "MultiplicativeWeightsPolicy",
-    "arm_costs",
     "make_policy",
 ]
 
 #: Arm order used throughout: index 0 keeps the task local, 1 offloads.
 ARM_LOCAL, ARM_OFFLOAD = 0, 1
 
-#: Sojourn cap for an unstable keep-all queue (a_n ≥ s_n): the local arm
-#: is priced as if the queue were this many service times deep.
-_SOJOURN_CAP_SERVICES = 100.0
-
 #: Policy names accepted by :func:`make_policy` (``lemma1`` maps to None:
 #: the classical best response, no learning state).
 AGENT_POLICIES = ("lemma1", "egreedy", "mwu")
-
-
-def arm_costs(
-    estimate: float,
-    edge_delay: float,
-    offload_latency: float,
-    weight: float,
-    energy_local: float,
-    energy_offload: float,
-    arrival_rate: float,
-    service_rate: float,
-) -> Tuple[float, float]:
-    """``(local, offload)`` per-task costs at broadcast estimate γ̂.
-
-    ``edge_delay`` is ``g(γ̂)`` — already evaluated, so policies need no
-    delay-model reference. Pure and rng-free.
-    """
-    offload = edge_delay + offload_latency + weight * energy_offload
-    slack = service_rate - arrival_rate
-    floor = service_rate / _SOJOURN_CAP_SERVICES
-    sojourn = 1.0 / max(slack, floor)
-    local = weight * energy_local + sojourn
-    return local, offload
 
 
 class AgentPolicy:

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.best_response import optimal_threshold
+from repro.core.best_response import (
+    optimal_threshold,
+    optimal_threshold_from_surcharge,
+)
 from repro.core.cost import user_cost
 from repro.population.user import UserProfile
 from repro.queueing.mdp import solve_admission_mdp, solve_user_mdp
@@ -57,6 +60,11 @@ class TestThresholdStructure:
         local_cost=st.floats(0.0, 3.0),
         offload_cost=st.floats(0.1, 8.0),
     )
+    # Exact ties: Lemma 1 admits, 1 against the parent solver's 0 ...
+    @example(arrival=2.0, theta=4.0, local_cost=1.0, offload_cost=2.0)
+    # ... and here its own float comparison lands 1 ulp below the tie.
+    @example(arrival=1.4671810348360383, theta=1.4671810348360383,
+             local_cost=1.4671810348360383, offload_cost=1.0)
     @settings(max_examples=40, deadline=None)
     def test_property_threshold_agreement(self, arrival, theta, local_cost,
                                           offload_cost):
@@ -73,7 +81,12 @@ class TestThresholdStructure:
             energy_local=local_cost,
             energy_offload=0.0,
         )
-        assert solution.threshold == optimal_threshold(profile, 0.0)
+        # Lemma 1 with its comparison counted as a tie within relative
+        # 1e-14: the admitting side of a tie, whichever way rounding fell.
+        expected = optimal_threshold_from_surcharge(
+            arrival, profile.intensity,
+            profile.offload_surcharge(0.0) * (1 + 1e-14))
+        assert solution.threshold == expected
 
 
 class TestMdpMechanics:

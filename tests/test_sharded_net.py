@@ -252,10 +252,6 @@ class TestConfigValidation:
             ShardedNetConfig(gossip_staleness=0.0)
         with pytest.raises(ValueError, match="probe_interval"):
             ShardedNetConfig(probe_interval=-1)
-        with pytest.raises(ValueError):
-            ShardedNetConfig(delay_smoothing=0.0)
-        with pytest.raises(ValueError):
-            ShardedNetConfig(delay_smoothing=1.5)
 
     def test_inherits_netconfig_validation(self):
         with pytest.raises(ValueError):

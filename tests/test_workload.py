@@ -380,6 +380,27 @@ class TestWorkloadNet:
         assert first.net.log == second.net.log
         assert first.estimated_utilization == second.estimated_utilization
 
+    @pytest.mark.parametrize("scenario, policy", [("diurnal", "lemma1"),
+                                                  ("steady", "egreedy")])
+    def test_traced_run_carries_the_net_events(self, population, tmp_path,
+                                               scenario, policy):
+        """A workload run is a net run: its trace nests net.start/net.done
+        inside workload.start/done, so the live watcher sees it finish."""
+        from repro.obs import ObsRecorder, Tracer, read_events
+        from repro.obs.watch import TraceWatcher
+        with Tracer(tmp_path / "events.jsonl") as tracer:
+            run_workload_net(population, build_workload_scenario(scenario),
+                             WorkloadNetConfig(seed=1, max_rounds=20,
+                                               agent_policy=policy),
+                             recorder=ObsRecorder(tracer=tracer))
+        order = ["workload.start", "net.start", "net.done", "workload.done"]
+        kinds = [event["kind"]
+                 for event in read_events(tmp_path / "events.jsonl")]
+        assert [kind for kind in kinds if kind in order] == order
+        watcher = TraceWatcher(tmp_path)
+        watcher.poll()
+        assert watcher.done_payload is not None
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="agent_policy"):
             WorkloadNetConfig(agent_policy="psychic")
