@@ -107,7 +107,6 @@ def population_average_cost(
 
 
 def arm_costs(
-    estimate: float,
     edge_delay: float,
     offload_latency: float,
     weight: float,
@@ -116,7 +115,7 @@ def arm_costs(
     arrival_rate: float,
     service_rate: float,
 ) -> Tuple[float, float]:
-    """``(local, offload)`` per-task costs at broadcast estimate γ̂.
+    """``(local, offload)`` per-task costs at edge delay ``g(γ̂)``.
 
     * offload: ``g(γ̂) + τ_n + w_n·p_n^E`` — the Eq. 3 surcharge a
       Lemma-1 device compares against its queue;

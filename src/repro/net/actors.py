@@ -18,7 +18,7 @@ exponentially, so a partitioned edge neither diverges nor spins.  Its
 report table, columns over the fleet's device ids, is the only one: the
 sharded :class:`~repro.net.sharded.SiteCoordinator` and the serving
 daemon's :class:`~repro.serve.service.ServingCoordinator` write the same
-table (the daemon adds a batch path) and measure with the same masked
+table by the same batch rule and measure with the same masked
 reductions.
 
 A stationary device reads its row of one bracketed fleet probe per
@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,6 +54,7 @@ from repro.net.messages import (
     GammaBroadcast,
     Heartbeat,
     JoinLeave,
+    ReportBatch,
     ThresholdReport,
 )
 from repro.net.transport import Transport
@@ -59,6 +62,17 @@ from repro.obs.context import resolve_recorder
 from repro.obs.recorder import Recorder
 
 EDGE_ADDRESS = "edge"
+
+#: ``tuple.__new__(ThresholdReport, fields)`` builds a report without the
+#: named tuple's Python-level ``__new__``: one is built per answer.
+_new_tuple = tuple.__new__
+
+#: An envelope's message kind (the drain's run key), and the fields the
+#: batch rule reads from a report envelope, gathered at C level.
+_kind = attrgetter("message.__class__")
+_device, _round = attrgetter("message.device"), attrgetter("message.round")
+_delivered_at = attrgetter("delivered_at")
+_offload_rate = attrgetter("message.offload_rate")
 
 
 class FleetResponses:
@@ -196,9 +210,9 @@ class DeviceAgent:
 
     def deliver(self, envelope: Envelope) -> None:
         """The delivery handler: it runs inside the delivery event."""
-        if not self.alive or not self._fresh(envelope.message):
-            return   # powered off, or not a broadcast to answer
         message = envelope.message
+        if not self.alive or not self._fresh(message):
+            return   # powered off, or not a broadcast to answer
         self.broadcasts_handled += 1
         span = None
         if self._obs.enabled:
@@ -207,7 +221,7 @@ class DeviceAgent:
                 virtual_time=self.runtime.now,
                 device=self.address, round=message.round,
             )
-        self._answer(message, parent=span)
+        self._answer(message, span)
         if span is not None:
             self._obs.span_end(span, virtual_time=self.runtime.now,
                                threshold=self.threshold)
@@ -224,7 +238,7 @@ class DeviceAgent:
     def _answer(self, broadcast: GammaBroadcast,
                 parent: Optional[int]) -> None:
         """Answer a fresh broadcast; sharded devices first pick a site."""
-        self._respond(broadcast.estimate, broadcast.round, parent=parent)
+        self._respond(broadcast.estimate, broadcast.round, parent)
 
     def _respond(self, estimate: float, broadcast_round: int,
                  parent: Optional[int] = None) -> None:
@@ -239,10 +253,9 @@ class DeviceAgent:
         self.reports_sent += 1
         self.transport.send(
             self.address, self.edge_address,
-            ThresholdReport(self.address, broadcast_round,
-                            self.threshold, self.offload_rate),
-            delay=self.report_delay,
-            parent=parent,
+            _new_tuple(ThresholdReport, (self.address, broadcast_round,
+                                         self.threshold, self.offload_rate)),
+            self.report_delay, parent,
         )
 
     def instantaneous_rate(self) -> float:
@@ -319,7 +332,6 @@ class LearningDeviceAgent(DeviceAgent):
                  parent: Optional[int] = None) -> None:
         rate = self.instantaneous_rate()
         local, offload = arm_costs(
-            estimate=estimate,
             edge_delay=float(self.delay_model(estimate)),
             offload_latency=self.offload_latency,
             weight=self.weight,
@@ -334,10 +346,9 @@ class LearningDeviceAgent(DeviceAgent):
         self.reports_sent += 1
         self.transport.send(
             self.address, self.edge_address,
-            ThresholdReport(self.address, broadcast_round,
-                            self.threshold, self.offload_rate),
-            delay=self.report_delay,
-            parent=parent,
+            _new_tuple(ThresholdReport, (self.address, broadcast_round,
+                                         self.threshold, self.offload_rate)),
+            self.report_delay, parent,
         )
 
 @dataclass
@@ -372,9 +383,12 @@ class EdgeCoordinator:
     joined), a member mask (known and not left), the last-heard time
     (0.0 before first contact), and the stored report's time, round
     (−1: none) and rate.  Provisioned devices start as members unless
-    ``joined`` is false.  :meth:`receive` is the one way a message
-    reaches the table, and each message is a few scalar writes under
-    these rules:
+    ``joined`` is false.  A message reaches the table through
+    :meth:`receive`, or, for a round's reports, through the drain, which
+    writes them together; either way reports are written by one batch
+    rule (:meth:`_write_reports`, O(rows) in numpy; a daemon
+    :class:`~repro.net.messages.ReportBatch` is its one-round case), and
+    every other message is a few scalar writes, under these rules:
 
     * the newest round wins, and a tie goes to the later message;
     * a leave clears the device's report;
@@ -411,6 +425,9 @@ class EdgeCoordinator:
         self._report_at = np.zeros(fleet_size)
         self._report_round = np.full(fleet_size, -1, dtype=np.int64)
         self._report_rate = np.zeros(fleet_size)
+        #: Scratch column, −1 between uses: the drain's marks while it
+        #: holds reports, then the batch rule's per-device scatter-max.
+        self._scratch = np.full(fleet_size, -1, dtype=np.int64)
         self.capacity = float(capacity)
         self.config = config
         self.address = address
@@ -513,10 +530,11 @@ class EdgeCoordinator:
                 virtual_time=self.runtime.now,
                 round=self.round, estimate=self.stepper.estimate,
             )
-        message = self._broadcast_message()
-        for device in self.known:     # sorted → deterministic fault draws
-            self.transport.send(self.address, device, message,
-                                parent=self._round_span)
+        # One call for the round: ``known`` is sorted, so the fault draws
+        # come in device order.
+        self.transport.broadcast(self.address, self.known,
+                                 self._broadcast_message(),
+                                 parent=self._round_span)
         if self._obs.enabled:
             self._obs.count("net.broadcasts")
 
@@ -532,39 +550,94 @@ class EdgeCoordinator:
             self._round_span = None
 
     def _drain(self) -> None:
+        """Apply the envelopes delivered since the last drain, as if one
+        at a time in inbox order.
+
+        Reports are held and written together, in one step of the batch
+        rule (:meth:`_write_reports`); every other message goes through
+        :meth:`receive` in inbox order.  A report touches only its own
+        device's heard time and stored report, so it commutes with every
+        other device's messages.  Of its own device's messages, a
+        heartbeat or join writes only the heard time and membership, so a
+        held report keeps its place by setting the heard time only if no
+        such message came after it; a leave, or any kind but these,
+        writes the held reports first.  With the recorder on, each report
+        still opens and closes its ``report.receive`` span in inbox order.
+        """
         inbox = self.inbox[:]
         self.inbox.clear()     # in place: the transport holds its append
-        for envelope in inbox:
-            self.receive(envelope.message, envelope.delivered_at,
-                         envelope.span)
+        held: List[Envelope] = []
+        marked: List[int] = []     # devices heard from while reports held
+        for kind, run in groupby(inbox, _kind):
+            if kind is ThresholdReport:
+                if self._obs.enabled:
+                    run = list(run)
+                    for envelope in run:
+                        self._report_span(envelope.message,
+                                          envelope.delivered_at,
+                                          envelope.span)
+                held += run
+                continue
+            for envelope in run:
+                message = envelope.message
+                hearing = kind is Heartbeat or (kind is JoinLeave
+                                                and message.joining)
+                if held and hearing:
+                    # Reports held so far come before this message.
+                    self._scratch[message.device] = len(held)
+                    marked.append(message.device)
+                elif held:
+                    self._write_held(held, marked)
+                    held, marked = [], []
+                self.receive(message, envelope.delivered_at, envelope.span)
+        if held:
+            self._write_held(held, marked)
+
+    def _write_held(self, held: List[Envelope], marked: List[int]) -> None:
+        """Write the drain's held reports; a report held before its
+        device's last heartbeat or join (marked in ``_scratch`` with the
+        count held then) does not set the heard time."""
+        rows = len(held)
+        devices = np.fromiter(map(_device, held), np.int64, rows)
+        heard = None
+        if marked:
+            heard = np.arange(rows) >= self._scratch[devices]
+            self._scratch[marked] = -1
+        self._write_reports(
+            devices,
+            np.fromiter(map(_round, held), np.int64, rows),
+            np.fromiter(map(_delivered_at, held), np.float64, rows),
+            np.fromiter(map(_offload_rate, held), np.float64, rows),
+            heard)
 
     def receive(self, message, at: float,
                 parent: Optional[int] = None) -> None:
         """Apply one message, delivered at ``at``, to the coordinator state.
 
-        The only way a message changes a coordinator: the drain calls it
-        once per buffered envelope, with the delivery span as ``parent``,
-        and the serving daemon calls it on its loop thread.  Subclasses
-        (the sharded :class:`~repro.net.sharded.SiteCoordinator`, the
-        serving :class:`~repro.serve.service.ServingCoordinator`) take
-        their extra message kinds and fall back to this for the common
-        ones.
+        The way a message changes a coordinator: the drain calls it for
+        every buffered envelope but reports (which it holds and writes
+        together, by the same rule), with the delivery span as
+        ``parent``, and the serving daemon calls it on its loop thread
+        with each :class:`~repro.net.messages.ReportBatch`.  The sharded
+        :class:`~repro.net.sharded.SiteCoordinator` takes its backbone
+        kinds and falls back to this for the common ones.
         """
         if isinstance(message, ThresholdReport):
             if self._obs.enabled:
-                # Instant leaf completing the causal chain
-                # broadcast → deliver → best_response → report.receive.
-                span = self._obs.span_start(
-                    "report.receive", parent=parent, virtual_time=at,
-                    device=message.device, round=message.round,
-                )
-                self._obs.span_end(span, virtual_time=at)
-            device = message.device
-            self._heard_at[device] = at
-            if message.round >= self._report_round[device]:
-                self._report_at[device] = at
-                self._report_round[device] = message.round
-                self._report_rate[device] = message.offload_rate
+                self._report_span(message, at, parent)
+            self._write_reports(np.array([message.device]), message.round,
+                                at, np.array([message.offload_rate]))
+        elif isinstance(message, ReportBatch):
+            devices = message.devices
+            if message.joining:
+                self._member[devices] = True
+                # As a scalar join would, an id not provisioned becomes
+                # known (never on the daemon, which provisions every id).
+                if not self._known[devices].all():
+                    self._known[devices] = True
+                    self.known = np.flatnonzero(self._known).tolist()
+            self._write_reports(devices, message.round, at,
+                                message.offload_rates)
         elif isinstance(message, Heartbeat):
             self._heard_at[message.device] = at
         elif isinstance(message, JoinLeave):
@@ -578,6 +651,58 @@ class EdgeCoordinator:
             else:
                 self._member[device] = False
                 self._report_round[device] = -1
+
+    def _report_span(self, message: ThresholdReport, at: float,
+                     parent: Optional[int]) -> None:
+        """Instant leaf completing the causal chain
+        broadcast → deliver → best_response → report.receive."""
+        span = self._obs.span_start(
+            "report.receive", parent=parent, virtual_time=at,
+            device=message.device, round=message.round,
+        )
+        self._obs.span_end(span, virtual_time=at)
+
+    def _write_reports(self, devices: np.ndarray, rounds, at,
+                       rates: np.ndarray,
+                       heard: Optional[np.ndarray] = None) -> None:
+        """The report table's one batch rule: rows of reports, in delivery
+        order, written as if one at a time, in O(rows).
+
+        ``rounds`` and ``at`` are columns, or one value for every row (a
+        :class:`~repro.net.messages.ReportBatch`).  A device's heard time
+        becomes its last row's delivery time, unless ``heard`` (a row
+        mask) rules that row out.  Its row with the largest (round,
+        delivery order) replaces the stored report when that round is at
+        least the stored round: rounds only grow while rows are taken one
+        at a time, so that row is the last one taken.
+        """
+        rows = np.arange(devices.size)
+        last = self._top_rows(devices, rows)
+        per_row_at = isinstance(at, np.ndarray)
+        hearing = last if heard is None else last & heard
+        self._heard_at[devices[hearing]] = at[hearing] if per_row_at else at
+        newest = last
+        per_row_rounds = isinstance(rounds, np.ndarray)
+        if per_row_rounds:          # rank rows by (round, delivery order)
+            rank = rounds - rounds.min()
+            rank *= rows.size
+            rank += rows
+            newest = self._top_rows(devices, rank)
+        keep = newest & (rounds >= self._report_round[devices])
+        updated = devices[keep]
+        self._report_at[updated] = at[keep] if per_row_at else at
+        self._report_round[updated] = rounds[keep] if per_row_rounds \
+            else rounds
+        self._report_rate[updated] = rates[keep]
+
+    def _top_rows(self, devices: np.ndarray, rank: np.ndarray) -> np.ndarray:
+        """Mask of each device's highest-``rank`` row (ranks distinct and
+        non-negative): a scatter-max into ``_scratch``, reset after."""
+        top = self._scratch
+        np.maximum.at(top, devices, rank)
+        mask = top[devices] == rank
+        top[devices] = -1
+        return mask
 
     def _live(self, now: float) -> np.ndarray:
         """The member mask, less devices silent past the liveness timeout."""

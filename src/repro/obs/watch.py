@@ -12,8 +12,13 @@ The reader is incremental (it remembers its file offset and only parses
 appended lines) and tolerant of torn writes: a truncated final line is
 left in the buffer until the writer completes it, exactly the property
 needed to follow a file mid-``write()``. One-shot mode (the default)
-renders the current state once; ``--follow`` polls until interrupted or
-``--max-updates`` renders have been shown.
+renders the current state once; ``--follow`` polls until the run's
+``*.done`` event, an interrupt, or ``--max-updates`` renders.
+
+A sharded run (``repro sharded``) keeps one γ̂ series per site, from its
+``sharded.round`` events; each site also emits the single-site
+``net.round``, which carries no site and is skipped once the trace has
+opened with ``sharded.start``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.utils.asciiplot import line_plot
 from repro.utils.tables import format_table
@@ -35,6 +40,8 @@ _CONVERGENCE_KINDS = {
     "dtu.iteration": ("gamma_hat", "gamma", "eta", "L"),
     "net.round": ("gamma_hat", "measured", None, None),
 }
+#: Event kinds that end a run, whatever its runner.
+_DONE_KINDS = ("dtu.done", "net.done", "sharded.done")
 
 
 class TraceWatcher:
@@ -55,6 +62,9 @@ class TraceWatcher:
         self.eta: List[float] = []
         self.counter: List[float] = []      # oscillation counter L
         self.silent_rounds = 0
+        #: Sharded runs: each site's γ̂ series, by site index.
+        self.sharded = False
+        self.site_gamma_hat: Dict[int, List[float]] = {}
         self.first_mono: Optional[float] = None
         self.last_mono: Optional[float] = None
         self.done_payload: Optional[dict] = None
@@ -98,7 +108,12 @@ class TraceWatcher:
         kind = record.get("kind", "")
         data = record.get("data") or {}
         fields = _CONVERGENCE_KINDS.get(kind)
-        if fields is not None:
+        if kind == "sharded.start":
+            self.sharded = True
+        elif kind == "sharded.round":
+            self.site_gamma_hat.setdefault(int(data["site"]), []).append(
+                float(data.get("gamma_hat", float("nan"))))
+        elif fields is not None and not self.sharded:
             hat_key, measured_key, eta_key, counter_key = fields
             self.times.append(float(len(self.times)))
             self.gamma_hat.append(float(data.get(hat_key, float("nan"))))
@@ -112,7 +127,7 @@ class TraceWatcher:
             self.silent_rounds += 1
             if "eta" in data:
                 self.eta.append(float(data["eta"]))
-        elif kind in ("dtu.done", "net.done"):
+        elif kind in _DONE_KINDS:
             self.done_payload = data
 
     # -- rendering -----------------------------------------------------
@@ -129,6 +144,9 @@ class TraceWatcher:
             rows.append(("γ̂ (latest)", f"{self.gamma_hat[-1]:.6f}"))
         if self.measured:
             rows.append(("measured γ (latest)", f"{self.measured[-1]:.6f}"))
+        for site, series in sorted(self.site_gamma_hat.items()):
+            rows.append((f"site {site} γ̂ (latest, {len(series)} rounds)",
+                         f"{series[-1]:.6f}"))
         if self.eta:
             rows.append(("η (latest)", f"{self.eta[-1]:.6f}"))
         if self.counter:
@@ -149,6 +167,17 @@ class TraceWatcher:
             blocks.append(line_plot(
                 self.times, series, width=width, height=height,
                 title="convergence", x_label="iteration",
+            ))
+        rounds = max(map(len, self.site_gamma_hat.values()), default=0)
+        if rounds >= 2:
+            # One line per site; a site with fewer rounds ends early.
+            series = {
+                f"γ̂ site {site}":
+                    values + [float("nan")] * (rounds - len(values))
+                for site, values in sorted(self.site_gamma_hat.items())}
+            blocks.append(line_plot(
+                list(range(rounds)), series, width=width, height=height,
+                title="convergence per site", x_label="round",
             ))
         return "\n\n".join(blocks)
 

@@ -41,8 +41,9 @@ time their computation.
 Every ``decide`` answers with columns (:class:`Decisions`) and doubles
 as one :class:`~repro.net.messages.ReportBatch` to the coordinator
 (``decide → WallClockDriver.submit → ServingCoordinator.receive``: one
-message on the loop thread, whatever the batch size, scattered into the
-base coordinator's report table as it arrives), so the service measures
+message on the loop thread, whatever the batch size, written into the
+base coordinator's report table as it arrives by the batch rule the net
+drain uses), so the service measures
 γ from the traffic it actually serves; with a frozen population querying
 steadily, the γ̂ trajectory settles onto the same fixed point as the
 offline :func:`repro.core.dtu.run_dtu` (pinned by
@@ -202,21 +203,20 @@ class ServingCoordinator(EdgeCoordinator):
       fleet joins explicitly, or implicitly on first decide;
     * **reports are applied on arrival, a batch at a time** — nothing
       sends to it, so it builds its base with ``transport=None`` (no
-      inbox registered) and the service calls :meth:`receive` on the
-      loop thread, which puts each :class:`ReportBatch` into the base
-      report table with O(B) vector ops under the base rules, and every
-      other message through the base's scalar writes.
+      inbox registered) and the service calls the inherited
+      :meth:`~repro.net.actors.EdgeCoordinator.receive` on the loop
+      thread, which writes each :class:`ReportBatch` into the report
+      table by the batch rule the net drain uses, in O(B).
 
-    The round timer, the report table, the measurement, the stepper and
-    the degradation logic are inherited untouched; the inherited drain
-    finds the inbox empty.
+    The round timer, the report table and its batch rule, the
+    measurement, the stepper and the degradation logic are inherited
+    untouched; the inherited drain finds the inbox empty.
     """
 
     def __init__(self, *args, responses: FleetResponses,
                  joined: bool = False, **kwargs):
         super().__init__(*args, transport=None, joined=joined, **kwargs)
         self.responses = responses
-        self._last_row = np.full(self._known.size, -1, dtype=np.int64)
         self.last_round_ended = 0.0
         self.last_round_status = "init"
         self.rounds_completed = 0
@@ -246,41 +246,6 @@ class ServingCoordinator(EdgeCoordinator):
         self.last_round_ended = self.runtime.now
         self.rounds_completed += 1
         super()._close_round_span(status, **tags)
-
-    def receive(self, message, at: float,
-                parent: Optional[int] = None) -> None:
-        if isinstance(message, ReportBatch):
-            self._apply_batch(message, at)
-        else:
-            super().receive(message, at, parent)
-
-    def _apply_batch(self, batch: ReportBatch, at: float) -> None:
-        """Apply one :class:`ReportBatch` as if row by row, in O(B).
-
-        Every row marks its device heard at ``at`` (and joined, if the
-        batch joins).  The batch's round replaces a device's stored
-        report when it is at least the stored round, and the device's
-        last row supplies the rate: a scatter-max of row numbers into
-        ``_last_row`` finds it, and the rows are reset to −1 after.
-        """
-        devices = batch.devices
-        self._heard_at[devices] = at
-        if batch.joining:
-            self._member[devices] = True
-            # As a scalar join would, an id not provisioned becomes known
-            # (never on the daemon, which provisions every id).
-            if not self._known[devices].all():
-                self._known[devices] = True
-                self.known = np.flatnonzero(self._known).tolist()
-        rows = np.arange(devices.size)
-        np.maximum.at(self._last_row, devices, rows)
-        keep = (self._last_row[devices] == rows) \
-            & (batch.round >= self._report_round[devices])
-        self._last_row[devices] = -1
-        updated = devices[keep]
-        self._report_at[updated] = at
-        self._report_round[updated] = batch.round
-        self._report_rate[updated] = batch.offload_rates[keep]
 
     @property
     def joined(self) -> int:

@@ -34,6 +34,7 @@ from repro.core.meanfield import MeanFieldMap
 from repro.net import (
     ChurnConfig,
     ChurnModel,
+    Envelope,
     FaultConfig,
     FaultyTransport,
     GammaBroadcast,
@@ -386,6 +387,122 @@ class TestRejectedSend:
         runtime.run([sender])
         assert transport.log.attempted > 0
         assert spans.open_count == 0 and len(spans) > 0
+
+
+def _broadcast(transport, src, dsts, message, delay, parent):
+    transport.broadcast(src, dsts, message, delay, parent)
+
+
+def _send_loop(transport, src, dsts, message, delay, parent):
+    for dst in dsts:
+        transport.send(src, dst, message, delay, parent)
+
+
+class TestBroadcast:
+    """One ``broadcast`` is the ``send`` loop it stands for: twin
+    runtimes, one fanning out each message in one call and the other
+    sending it destination by destination, end with equal message logs
+    and fate counts, equal heap entries after every fan-out, equal span
+    records, equal deliveries and equal generator states, whatever the
+    faults and with log entries on or off."""
+
+    #: 99 is never registered: its copies end "unroutable".
+    DESTINATIONS = (0, 1, 2, 3, 4, 99, "site/1")
+    #: (virtual time, delay) of each fan-out; the second falls inside
+    #: the first partition window below, the last two inside the second.
+    ROUNDS = ((0.0, 0.0), (1.5, 0.25), (3.0, 0.0), (3.0, 1.0))
+
+    FAULTS = {
+        "local": None,
+        "faultless": FaultConfig(),
+        "lossy": FaultConfig(loss=0.4),
+        "duplicating": FaultConfig(duplicate=0.5, jitter=0.5),
+        "latency": FaultConfig(latency=0.25, jitter=0.1, duplicate=1.0),
+        "all": FaultConfig(
+            loss=0.2, duplicate=0.3, latency=0.1, jitter=0.4,
+            partitions=(Partition(1.0, 2.0, frozenset({1, 3})),
+                        Partition(2.5, 4.0, frozenset({"edge"})))),
+    }
+
+    def _run(self, faults, record_log: bool, fan_out):
+        runtime = Runtime()
+        spans = SpanCollector()
+        recorder = ObsRecorder(spans=spans)
+        transport = LocalTransport(runtime, record_log=record_log,
+                                   recorder=recorder)
+        if faults is not None:
+            transport = FaultyTransport(transport, faults, seed=5,
+                                        recorder=recorder)
+        delivered = []
+        for address in self.DESTINATIONS:
+            if address != 99:
+                transport.register(address, delivered.append)
+        heaps = []
+
+        def fan_out_at(when, delay, message):
+            root = recorder.span_start("round", virtual_time=when)
+            fan_out(transport, "edge", self.DESTINATIONS, message, delay,
+                    root)
+            heaps.append([(at, seq, arg)
+                          for at, seq, _, arg in runtime._heap
+                          if isinstance(arg, Envelope)])
+            recorder.span_end(root, virtual_time=when)
+
+        for number, (when, delay) in enumerate(self.ROUNDS):
+            runtime.call_at(when, partial(
+                fan_out_at, when, delay, GammaBroadcast(number, 0.5, 0.1)))
+        runtime.run([])
+        rng = getattr(transport, "rng", None)
+        return {
+            "log": transport.log,
+            "counts": dict(transport.log.counts),
+            "heaps": heaps,
+            "spans": spans.canonical(),
+            "delivered": delivered,
+            "events": runtime.events_fired,
+            "rng": rng.bit_generator.state if rng is not None else None,
+            "metrics": recorder.registry.snapshot()["counters"],
+        }
+
+    @pytest.mark.parametrize("record_log", [True, False],
+                             ids=["entries", "counts"])
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_broadcast_equals_send_loop(self, name, record_log):
+        faults = self.FAULTS[name]
+        one_call = self._run(faults, record_log, _broadcast)
+        sends = self._run(faults, record_log, _send_loop)
+        assert one_call == sends
+        assert (len(one_call["log"]) > 0) == record_log
+        # The scenario reaches the fates its faults can produce.
+        counts = one_call["counts"]
+        assert counts["unroutable"] > 0
+        if faults is not None and faults.loss:
+            assert counts["dropped"] > 0
+        if faults is not None and faults.duplicate:
+            assert counts["duplicated"] > 0
+        if faults is not None and faults.partitions:
+            assert counts["partitioned"] > 0
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")],
+                             ids=["negative", "nan"])
+    @pytest.mark.parametrize("faults", [None, FAULTS["all"]],
+                             ids=["local", "faulty"])
+    def test_rejected_broadcast_leaves_no_trace(self, faults, delay):
+        runtime = Runtime()
+        spans = SpanCollector()
+        recorder = ObsRecorder(spans=spans)
+        transport = TestRejectedSend._transport(faults, runtime, recorder)
+        transport.register(1, [].append)
+        rng = getattr(transport, "rng", None)
+        draws = rng.bit_generator.state if rng is not None else None
+        with pytest.raises(ValueError, match="cannot schedule"):
+            transport.broadcast("edge", self.DESTINATIONS,
+                                GammaBroadcast(1, 0.5, 0.1), delay=delay)
+        if rng is not None:
+            assert rng.bit_generator.state == draws
+        assert transport.log.counts == {} and len(transport.log) == 0
+        assert recorder.registry.snapshot()["counters"] == {}
+        assert len(spans) == 0 and runtime.pending == 0
 
 
 class TestMessageLog:

@@ -263,6 +263,51 @@ class TestWatch:
         assert watcher.poll() == 1          # completed line now counted
         assert watcher.gamma_hat == [0.3, 0.3]
 
+    def test_sharded_trace_finishes_with_one_series_per_site(self,
+                                                             tmp_path):
+        """Following a finished ``repro sharded``-style trace returns on
+        its ``sharded.done``, and each site's γ̂ is one series: the base
+        ``net.round`` events every site also emits carry no site, so
+        they do not land in a series of their own."""
+        import io
+        import threading
+
+        from repro.core.multiedge import MultiEdgeSystem, tiered_sites
+        from repro.net import ShardedNetConfig, run_sharded_dtu
+        from repro.obs import ObsRecorder, Tracer, read_events
+        from repro.obs.watch import watch
+        from repro.population.sampler import sample_population
+        from repro.population.scenarios import build_scenario
+
+        population = sample_population(
+            build_scenario("paper-theoretical"), 300, rng=0)
+        system = MultiEdgeSystem(population, tiered_sites(3), rng=0)
+        with Tracer(tmp_path / "events.jsonl") as tracer:
+            result = run_sharded_dtu(system, ShardedNetConfig(),
+                                     recorder=ObsRecorder(tracer=tracer))
+        per_site = {}
+        for event in read_events(tmp_path / "events.jsonl"):
+            if event["kind"] == "sharded.round":
+                per_site.setdefault(event["data"]["site"], []).append(
+                    event["data"]["gamma_hat"])
+        assert sorted(per_site) == [0, 1, 2]
+        assert [len(per_site[site]) for site in range(3)] == \
+            [len(trace.estimated) for trace in result.traces]
+
+        watched = []
+        follower = threading.Thread(target=lambda: watched.append(watch(
+            tmp_path, follow=True, interval=0.01, stream=io.StringIO())),
+            daemon=True)
+        follower.start()
+        follower.join(timeout=30)
+        assert not follower.is_alive() and len(watched) == 1
+        watcher = watched[0]
+        assert watcher.done_payload["converged"] == result.converged
+        assert watcher.site_gamma_hat == per_site
+        assert watcher.gamma_hat == [] and watcher.times == []
+        text = watcher.render()
+        assert "site 2 γ̂" in text and "convergence per site" in text
+
     def test_cli_graceful_on_missing_dir(self, tmp_path, capsys):
         assert watch_main([str(tmp_path / "nope")]) == 1
         assert capsys.readouterr().err.startswith("error:")

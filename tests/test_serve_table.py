@@ -1,17 +1,18 @@
 """The coordinators' one report table against a per-message reference.
 
 :class:`~repro.net.actors.EdgeCoordinator` keeps its report table as
-columns over the fleet's ids, and two paths write it: the scalar path
-(the base ``receive``: one ``JoinLeave``, ``ThresholdReport`` or
-``Heartbeat`` at a time, buffered in the inbox until a drain) and the
-batch path (:class:`~repro.serve.service.ServingCoordinator`: one
+columns over the fleet's ids and writes reports by one batch rule, from
+two paths: the net drain (``JoinLeave``, ``ThresholdReport`` and
+``Heartbeat`` envelopes buffered in the inbox; the drain holds the
+reports and writes them together) and the daemon
+(:class:`~repro.serve.service.ServingCoordinator`: one
 :class:`~repro.net.messages.ReportBatch` per ``/decide`` request, passed
-to its ``receive`` as the daemon does, with no transport).  The
-reference, :class:`_Reference`, is the per-message dict table the
-columns replaced.  All three see the same traffic: a batch is one
-``ReportBatch`` to the serving coordinator and, to the scalar
-coordinator and the reference, one ``JoinLeave`` (when the batch joins)
-plus one ``ThresholdReport`` per row.
+to ``receive`` as the daemon does, with no transport).  The reference,
+:class:`_Reference`, is the per-message dict table the columns replaced.
+All three see the same traffic: a batch is one ``ReportBatch`` to the
+serving coordinator and, to the net coordinator and the reference, one
+``JoinLeave`` (when the batch joins) plus one ``ThresholdReport`` per
+row.
 
 Scripts mix duplicate ids within a batch, stale and out-of-order rounds
 (callers on two threads interleaving), heartbeats, leaves and re-joins, and
@@ -19,9 +20,12 @@ round ends at arbitrary points, with and without a liveness timeout and
 auto-join, from three starting memberships: provisioned (the net
 runtimes), empty (the daemon), and partial (a sharded site), where
 unprovisioned ids join and a report may arrive before its device's join.
-After every event the measured γ must agree to the bit, and the census,
-the member list, the ``known`` broadcast list and the joined count
-exactly.
+The measured γ must agree to the bit, and the census, the member list,
+the ``known`` broadcast list and the joined count exactly: after every
+event when the net coordinator drains each message as it arrives, and
+after every drain when it buffers a script's messages the way a round
+does, so one drain holds reports of several rounds, duplicated and late
+ones among them, between heartbeats, joins and leaves.
 """
 
 from __future__ import annotations
@@ -142,14 +146,17 @@ def _coordinator(cls, config, devices, joined: bool):
                config=config, fleet_size=N_DEVICES, joined=joined, **extra)
 
 
-def _deliver(coordinator, message, at: float) -> None:
-    if coordinator.transport is None:      # the daemon's: on arrival
+def _deliver(coordinator, message, at: float, drain: bool = True) -> None:
+    """Hand ``message`` to ``coordinator`` at ``at``: the daemon's takes
+    it on arrival; the net one buffers it, and drains unless told not to."""
+    if coordinator.transport is None:
         coordinator.receive(message, at)
         return
     coordinator.transport.handlers[EDGE_ADDRESS](Envelope(
         seq=0, src=0, dst=EDGE_ADDRESS, sent_at=at, delivered_at=at,
         message=message))
-    coordinator._drain()
+    if drain:
+        coordinator._drain()
 
 
 def _bits(value):
@@ -187,14 +194,60 @@ def _assert_agree(coordinators, reference, now: float,
        current_round=st.integers(0, 4))
 def test_columnar_table_matches_per_message_table(
         script, membership, liveness, auto_join, window, current_round):
+    _play(script, membership, liveness, auto_join, window, current_round,
+          buffered=False)
+
+
+# One drain holding late and duplicated reports: device 2's round-3
+# report (delivered at 0.25) outranks its later round-2 one, which sets
+# its heard time (0.5); of device 1's two round-3 rows the last wins.
+@example(script=[("batch", 0.25, 3, [(2, 1.0, 4)]),
+                 ("batch", 0.25, 2, [(2, 3.0, 5), (1, 0.5, 6)]),
+                 ("batch", 0.25, 3, [(1, 2.0, 7), (1, 4.0, 8)]),
+                 ("drain", 0.0)],
+         membership=(None, True), liveness=0.75, auto_join=False,
+         window=0.5, current_round=3)
+# One device's heartbeats and reports alternating within drains, after
+# a drain that held nothing: its heard time is its last message's.
+@example(script=[("heartbeat", 0.25, 2), ("drain", 0.0),
+                 ("batch", 0.25, 1, [(2, 1.0, 3)]), ("heartbeat", 0.5, 2),
+                 ("batch", 0.5, 1, [(2, 2.0, 4)]), ("drain", 0.0),
+                 ("batch", 0.25, 1, [(2, 3.0, 5)]), ("heartbeat", 0.25, 2),
+                 ("drain", 0.0)],
+         membership=(None, True), liveness=0.75, auto_join=False,
+         window=1.5, current_round=1)
+# Reports around a leave and a re-join in one drain.
+@example(script=[("batch", 0.0, 1, [(0, 1.0, 1)]), ("leave", 0.25, 0),
+                 ("batch", 0.25, 0, [(0, 2.0, 1), (3, 1.5, 2)]),
+                 ("join", 0.25, 0), ("batch", 0.0, 0, [(0, 3.0, 1)]),
+                 ("heartbeat", 0.25, 3), ("drain", 0.0)],
+         membership=(None, True), liveness=0.75, auto_join=False,
+         window=1.5, current_round=1)
+@given(script=st.lists(st.one_of(batch, single, drain), max_size=25),
+       membership=memberships,
+       liveness=st.sampled_from([None, 0.75, 2.0]),
+       auto_join=st.booleans(),
+       window=st.sampled_from([0.5, 1.5]),
+       current_round=st.integers(0, 4))
+def test_buffered_drains_match_per_message_table(
+        script, membership, liveness, auto_join, window, current_round):
+    _play(script, membership, liveness, auto_join, window, current_round,
+          buffered=True)
+
+
+def _play(script, membership, liveness, auto_join, window, current_round,
+          buffered: bool) -> None:
+    """Feed ``script`` to the net and serving coordinators and the
+    reference, checking them after every event, or only after every
+    drain when the net coordinator ``buffered`` its messages."""
     provisioned, joined = membership
     devices = range(N_DEVICES) if provisioned is None else provisioned
     config = ServeConfig(liveness_timeout=liveness, report_window=window,
                          auto_join=auto_join).protocol()
-    scalar = _coordinator(EdgeCoordinator, config, devices, joined)
+    net = _coordinator(EdgeCoordinator, config, devices, joined)
     table = _coordinator(ServingCoordinator, config, devices, joined)
     reference = _Reference(devices, joined, config)
-    coordinators = (scalar, table)
+    coordinators = (net, table)
 
     now = 0.0
     for event in script:
@@ -213,7 +266,7 @@ def test_columnar_table_matches_per_message_table(
                 if auto_join:
                     messages.insert(0, JoinLeave(device, True))
                 for message in messages:
-                    _deliver(scalar, message, now)
+                    _deliver(net, message, now, drain=not buffered)
                     reference.handle(message, now)
         elif kind == "drain":
             for coordinator in coordinators:
@@ -223,10 +276,11 @@ def test_columnar_table_matches_per_message_table(
             message = Heartbeat(device, now) if kind == "heartbeat" \
                 else JoinLeave(device, kind == "join")
             for coordinator in coordinators:
-                _deliver(coordinator, message, now)
+                _deliver(coordinator, message, now, drain=not buffered)
             reference.handle(message, now)
-        _assert_agree(coordinators, reference, now, current_round)
+        if kind == "drain" or not buffered:
+            _assert_agree(coordinators, reference, now, current_round)
     for coordinator in coordinators:
         coordinator._drain()
     _assert_agree(coordinators, reference, now, current_round)
-    assert len(table.inbox) == 0
+    assert len(net.inbox) == len(table.inbox) == 0

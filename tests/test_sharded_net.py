@@ -183,17 +183,21 @@ class TestAccuracy:
                                                    monkeypatch):
         """Without migration a device still prices and reports against
         its home: every report a site receives carries that site's round
-        and the home kernel's best response to the home γ̂."""
+        and the home kernel's best response to the home γ̂.  Reports
+        reach a site's table through its drain, which writes them
+        together, so the reports are read off the inbox it drains."""
         received = []
-        receive = SiteCoordinator.receive
+        drain = SiteCoordinator._drain
 
-        def recording_receive(coordinator, message, at, parent=None):
-            if isinstance(message, ThresholdReport):
-                received.append((coordinator.site, coordinator.round,
-                                 coordinator.stepper.estimate, message))
-            receive(coordinator, message, at, parent)
+        def recording_drain(coordinator):
+            for envelope in coordinator.inbox:
+                if isinstance(envelope.message, ThresholdReport):
+                    received.append((coordinator.site, coordinator.round,
+                                     coordinator.stepper.estimate,
+                                     envelope.message))
+            drain(coordinator)
 
-        monkeypatch.setattr(SiteCoordinator, "receive", recording_receive)
+        monkeypatch.setattr(SiteCoordinator, "_drain", recording_drain)
         run_sharded_dtu(system, ShardedNetConfig(migrate=False,
                                                  max_rounds=40))
         assert received

@@ -239,10 +239,10 @@ class TestArrayChurn:
 class TestAgents:
     def test_arm_costs_orderings(self):
         # Idle device, cheap offload → offload arm cheaper; and vice versa.
-        local, offload = arm_costs(0.1, 0.5, 0.1, 1.0, 0.2, 0.1,
+        local, offload = arm_costs(0.5, 0.1, 1.0, 0.2, 0.1,
                                    arrival_rate=3.9, service_rate=4.0)
         assert local > offload          # a ≈ s: keep-all is terrible
-        local2, offload2 = arm_costs(0.9, 50.0, 5.0, 1.0, 0.2, 3.0,
+        local2, offload2 = arm_costs(50.0, 5.0, 1.0, 0.2, 3.0,
                                      arrival_rate=0.5, service_rate=4.0)
         assert local2 < offload2        # congested edge, light queue
 
