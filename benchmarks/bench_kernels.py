@@ -33,9 +33,6 @@ Standalone (the ``make bench-kernels`` target)::
     PYTHONPATH=src python benchmarks/bench_kernels.py [--quick] [--output F]
 
 ``--quick`` caps the populations at 10⁴ (CI smoke; still writes JSON).
-``--smoke-1e6`` instead runs the shared-memory round-trip check (pickle
-by handle, process-worker ``V(γ)`` equality, no ``/dev/shm`` leak) used
-by the CI bench-regression job.
 Under ``pytest benchmarks/`` one reduced-scale measurement runs through
 the shared ``once`` fixture; the JSON artifact is only written by the
 standalone entry point.
@@ -291,69 +288,6 @@ def _measure_point_isolated(n_users: int) -> dict:
     return _run_isolated(["--point", str(n_users)])
 
 
-def smoke_1e6(n_users: int = 1_000_000) -> dict:
-    """CI smoke for the shared-memory kernel path at N = 10⁶.
-
-    Builds a lazy kernel, moves it into shared memory, round-trips it
-    through a pickle *and* a process worker, checks the worker's ``V(γ)``
-    equals the in-process value bit-for-bit, and verifies no ``/dev/shm``
-    segment survives collection. Raises on any failure.
-    """
-    import gc
-    import multiprocessing
-
-    from repro.core.kernels import CompiledMeanField
-    from repro.population.scenarios import build_scenario
-    from repro.population.sampler import sample_population
-
-    def _segments() -> set:
-        # Only Python shared_memory segments (psm_*): the worker pool's
-        # own semaphores (sem.mp-*) come and go with it and are not ours.
-        if not os.path.isdir("/dev/shm"):
-            return set()
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-
-    leftovers_before = _segments()
-    population = sample_population(
-        build_scenario("paper-theoretical"), n_users, rng=7,
-    )
-    build_seconds, kernel = _time(CompiledMeanField, population)
-    local_value = kernel.value(0.5)
-    share_seconds, shared = _time(kernel.share_memory)
-    import pickle
-
-    payload = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
-    clone = pickle.loads(payload)
-    assert clone.value(0.5) == local_value, \
-        "pickle round-trip changed V(0.5)"
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(1) as pool:
-        worker_value = pool.apply(_worker_value, (kernel, 0.5))
-    assert worker_value == local_value, \
-        "process worker disagreed with the in-process V(0.5)"
-    segment = kernel.shared_memory_name
-    # The population holds the pack too (share_memory rebacks its arrays)
-    # — every referent must drop before the creator's finalizer unlinks.
-    del clone, shared, kernel, population
-    gc.collect()
-    leaked = _segments() - leftovers_before
-    assert not leaked, f"/dev/shm leaked segments: {sorted(leaked)}"
-    return {
-        "n_users": n_users,
-        "build_seconds": round(build_seconds, 4),
-        "share_seconds": round(share_seconds, 4),
-        "pickle_bytes": len(payload),
-        "segment": segment,
-        "worker_value_identical": True,
-        "shm_clean": True,
-    }
-
-
-def _worker_value(kernel, gamma: float) -> float:
-    """Module-level worker target (spawn context pickles by name)."""
-    return kernel.value(gamma)
-
-
 def run_benchmark(quick: bool = False, isolate: bool = False,
                   large: bool = False) -> dict:
     from repro import __version__
@@ -396,10 +330,6 @@ def main(argv=None) -> int:
                         help=argparse.SUPPRESS)  # subprocess worker mode
     parser.add_argument("--point-large", type=int, metavar="N",
                         help=argparse.SUPPRESS)  # compiled-only worker mode
-    parser.add_argument("--smoke-1e6", action="store_true",
-                        help="shared-memory round-trip smoke at N=1e6 "
-                             "(no JSON artifact; exits non-zero on any "
-                             "mismatch or /dev/shm leak)")
     parser.add_argument("--no-large", action="store_true",
                         help="skip the compiled-only N=1e7 frontier point")
     args = parser.parse_args(argv)
@@ -408,10 +338,6 @@ def main(argv=None) -> int:
         return 0
     if args.point_large is not None:
         print(json.dumps(_measure_point_large(args.point_large)))
-        return 0
-    if args.smoke_1e6:
-        result = smoke_1e6()
-        print(json.dumps(result, indent=2))
         return 0
     report = run_benchmark(quick=args.quick, isolate=True,
                            large=not args.no_large)

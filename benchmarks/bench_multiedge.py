@@ -117,8 +117,7 @@ def _measure_round(n_users: int, n_sites: int, jobs: int = 1,
     cohorts = np.array_split(np.arange(n_users), n_sites)
     for kernel, cohort in zip(system.kernels, cohorts):
         _probe_site(kernel, cohort)  # touch the tables once before timing
-    runner = TaskRunner(jobs=jobs,
-                        backend="inline" if jobs == 1 else "thread")
+    runner = TaskRunner(jobs=jobs)
     results = runner.run([
         TaskSpec(_probe_site, {"kernel": kernel, "cohort": cohort},
                  name=f"site-{j}")

@@ -1,18 +1,13 @@
 """repro.runtime benchmark — the first point of the perf trajectory.
 
-Times the three canonical fan-out workloads at ``jobs=1`` vs ``jobs=4``,
+Times the two canonical fan-out workloads at ``jobs=1`` vs ``jobs=4``,
 cold and warm cache, and writes ``BENCH_runtime.json`` at the repo root:
 
 * a 16-point capacity sweep (one MFNE + DTU solve per point);
-* the same sweep through one shared-memory donor kernel
-  (``shared_kernel=True`` — every point pickles the kernel by handle);
-* a 16-replication DES batch (independent system simulations, with the
-  population shared via ``share_population=True``).
+* a 16-replication DES batch (independent system simulations).
 
-Each entry records the per-task pickle payload a process worker receives
-(``task_pickle_bytes_copied`` vs ``task_pickle_bytes_shared``) — the
-before/after of the zero-copy sharing levers, auditable through the
-``repro.obs.bench`` normalizer (``*_bytes`` regresses upward).
+At ``jobs=4`` every task runs in a forked worker that inherits its
+inputs, so no population or kernel is copied to a worker.
 
 Standalone (the ``make bench-runtime`` target)::
 
@@ -42,79 +37,23 @@ JOBS_PARALLEL = 4
 SWEEP_VALUES = [8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 22, 24, 26]
 
 
-def _spec_bytes(fn, **kwargs) -> int:
-    """Pickled size of one task spec — the payload a process worker gets."""
-    import pickle
-
-    from repro.runtime.task import TaskSpec
-
-    return len(pickle.dumps(TaskSpec(fn=fn, kwargs=kwargs),
-                            protocol=pickle.HIGHEST_PROTOCOL))
-
-
 def _sweep_workload(n_users: int):
-    """A 16-point capacity sweep as a (callable, label, extras) triple."""
-    from repro.sweep import _sweep_point, run_sweep
+    """A 16-point capacity sweep as a (callable, label) pair."""
+    from repro.sweep import run_sweep
 
     def run(jobs: int, cache):
         return run_sweep("capacity", SWEEP_VALUES, n_users=n_users, seed=0,
                          include_dtu=True, jobs=jobs, cache=cache)
 
-    extras = {
-        # The resampling sweep ships only scalars; each worker re-samples
-        # and re-compiles its own point.
-        "task_pickle_bytes_copied": _spec_bytes(
-            _sweep_point, parameter="capacity", value=10.0,
-            n_users=n_users, include_dtu=True, backend=None,
-            sim_horizon=150.0),
-    }
-    return (run, f"sweep[capacity x {len(SWEEP_VALUES)}, n_users={n_users}]",
-            extras)
-
-
-def _shared_sweep_workload(n_users: int):
-    """The same capacity sweep through one shared-memory donor kernel."""
-    from repro.core.meanfield import MeanFieldMap
-    from repro.population.scenarios import build_scenario
-    from repro.population.sampler import sample_population
-    from repro.sweep import _sweep_point_shared, run_sweep
-
-    # Weigh what one point-task would ship with the donor pickled by
-    # value vs by handle (the run itself builds its own donor inside
-    # run_sweep; this kernel exists only on the scale).
-    population = sample_population(
-        build_scenario("paper-theoretical"), n_users, rng=0,
-    )
-    donor = MeanFieldMap(population).compile()
-    copied = _spec_bytes(_sweep_point_shared, parameter="capacity",
-                         value=10.0, kernel=donor, include_dtu=True)
-    donor.share_memory()
-    shared = _spec_bytes(_sweep_point_shared, parameter="capacity",
-                         value=10.0, kernel=donor, include_dtu=True)
-    del donor, population
-
-    def run(jobs: int, cache):
-        return run_sweep("capacity", SWEEP_VALUES, n_users=n_users, seed=0,
-                         include_dtu=True, jobs=jobs, cache=cache,
-                         shared_kernel=True)
-
-    extras = {
-        "task_pickle_bytes_copied": copied,
-        "task_pickle_bytes_shared": shared,
-    }
-    return (run,
-            f"sweep-shared[capacity x {len(SWEEP_VALUES)}, "
-            f"n_users={n_users}]",
-            extras)
+    return run, f"sweep[capacity x {len(SWEEP_VALUES)}, n_users={n_users}]"
 
 
 def _des_workload(n_users: int, horizon: float):
-    """A 16-replication DES batch as a (callable, label, extras) triple."""
+    """A 16-replication DES batch as a (callable, label) pair."""
     from repro.population.scenarios import build_scenario
     from repro.population.sampler import sample_population
     from repro.simulation.measurement import MeasurementConfig
     from repro.simulation.system import (
-        _replication_point,
         simulate_system_replicated,
         tro_policies,
     )
@@ -124,27 +63,14 @@ def _des_workload(n_users: int, horizon: float):
     )
     policies = tro_policies(2.0, population.size)
     config = MeasurementConfig(horizon=horizon, warmup=horizon / 5, seed=3)
-    point_kwargs = dict(population=population, policies=list(policies),
-                        horizon=config.horizon, warmup=config.warmup,
-                        service_model=None, delay_model=None,
-                        backend="event")
-    copied = _spec_bytes(_replication_point, **point_kwargs)
-    population.share_memory()      # in place; the runs below ship handles
-    shared = _spec_bytes(_replication_point, **point_kwargs)
 
     def run(jobs: int, cache):
         return simulate_system_replicated(
             population, policies, replications=16, config=config,
-            jobs=jobs, cache=cache, share_population=True,
+            jobs=jobs, cache=cache,
         )
 
-    extras = {
-        "task_pickle_bytes_copied": copied,
-        "task_pickle_bytes_shared": shared,
-    }
-    return (run,
-            f"des[16 replications, n_users={n_users}, horizon={horizon:g}]",
-            extras)
+    return run, f"des[16 replications, n_users={n_users}, horizon={horizon:g}]"
 
 
 def _time(fn, *args) -> tuple:
@@ -153,7 +79,7 @@ def _time(fn, *args) -> tuple:
     return time.perf_counter() - started, result
 
 
-def measure_workload(run, label: str, extras: dict = None) -> dict:
+def measure_workload(run, label: str) -> dict:
     """Serial vs parallel cold runs, then a warm-cache re-run."""
     with tempfile.TemporaryDirectory(prefix="bench-runtime-") as cache_dir:
         serial_seconds, serial_result = _time(run, 1, None)
@@ -172,7 +98,6 @@ def measure_workload(run, label: str, extras: dict = None) -> dict:
         "warm_cache_speedup": round(serial_seconds / warm_seconds, 3),
         "identical_output": True,
     }
-    entry.update(extras or {})
     if entry["parallel_speedup"] < 1.0:
         cpus = os.cpu_count() or 1
         if cpus < JOBS_PARALLEL:
@@ -184,15 +109,14 @@ def measure_workload(run, label: str, extras: dict = None) -> dict:
                 f"parallel capacity")
         else:
             entry["note"] = (
-                f"parallel_speedup < 1 on a {cpus}-CPU host: check the "
-                f"task_pickle_bytes_* payloads above")
+                f"parallel_speedup < 1 on a {cpus}-CPU host: the tasks are "
+                f"too short to repay a forked worker each")
     return entry
 
 
 def run_benchmark(quick: bool = False) -> dict:
     workloads = [
         _sweep_workload(n_users=300 if quick else 1200),
-        _shared_sweep_workload(n_users=300 if quick else 1200),
         _des_workload(n_users=10 if quick else 40,
                       horizon=60.0 if quick else 200.0),
     ]
@@ -205,8 +129,8 @@ def run_benchmark(quick: bool = False) -> dict:
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "quick": quick,
-        "workloads": [measure_workload(run, label, extras)
-                      for run, label, extras in workloads],
+        "workloads": [measure_workload(run, label)
+                      for run, label in workloads],
     }
     return report
 
@@ -230,11 +154,6 @@ def main(argv=None) -> int:
               f"({entry['parallel_speedup']:.2f}x)\n"
               f"  parallel warm {entry['parallel_warm_seconds']:8.2f}s "
               f"({entry['warm_cache_speedup']:.2f}x)")
-        if "task_pickle_bytes_copied" in entry:
-            line = f"  task pickle   {entry['task_pickle_bytes_copied']:,} B"
-            if "task_pickle_bytes_shared" in entry:
-                line += f" → {entry['task_pickle_bytes_shared']:,} B shared"
-            print(line)
         if "note" in entry:
             print(f"  note: {entry['note']}")
     print(f"\nwrote {args.output}")

@@ -64,8 +64,8 @@ def metric_direction(name: str) -> Optional[str]:
     Timings (``*_seconds``) and latency percentiles (``p50`` / ``p99`` /
     ``p999``, with or without a ``_seconds`` suffix) regress upward, as
     do equilibrium-tracking errors (``*_lag``, ``*_gap`` from
-    ``BENCH_workload.json``) and shipped-payload sizes (``*_bytes``,
-    e.g. per-task pickle bytes from ``BENCH_runtime.json``); throughput,
+    ``BENCH_workload.json``) and memory sizes (``*_bytes``, e.g. the
+    table image ``kernel_bytes`` from ``BENCH_kernels.json``); throughput,
     speedup, and efficiency ratios (``*speedup*``, ``*_per_second``,
     ``*_efficiency``) regress downward.
     """

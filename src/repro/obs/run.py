@@ -12,8 +12,9 @@ With no output asked for the block gets the null recorder.  With
 ``trace`` the block gets an :class:`~repro.obs.recorder.ObsRecorder`
 writing ``manifest.json`` (the seed plus every parsed argument),
 ``events.jsonl`` and ``spans.jsonl`` into the directory, and
-``metrics.json`` when the block ends; ``serve_metrics`` serves the same
-registry as a Prometheus ``/metrics`` endpoint while the block lasts.
+``metrics.json`` last, once the block has ended and the other files are
+closed; ``serve_metrics`` serves the same registry as a Prometheus
+``/metrics`` endpoint while the block lasts.
 The span collector is thread-safe, so one recorder serves a daemon's
 loop thread (its coordinator and its request handlers) and any caller on
 another thread alike.
@@ -78,8 +79,10 @@ def observed_run(
         if trace is not None:
             finish_spans(recorder)
             spans.close()
-            recorder.registry.save(trace / "metrics.json")
             tracer.close()
+            # Last: once metrics.json exists, every event and span is on
+            # disk (the rule repro.obs.spans and repro.obs.watch read).
+            recorder.registry.save(trace / "metrics.json")
     if trace is not None and not quiet:
         print(f"trace written to {trace} (summarise with: python -m "
               f"repro.obs.report {trace}; span trees with: python -m "

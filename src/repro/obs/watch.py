@@ -12,8 +12,12 @@ The reader is incremental (it remembers its file offset and only parses
 appended lines) and tolerant of torn writes: a truncated final line is
 left in the buffer until the writer completes it, exactly the property
 needed to follow a file mid-``write()``. One-shot mode (the default)
-renders the current state once; ``--follow`` polls until the run's
-``*.done`` event, an interrupt, or ``--max-updates`` renders.
+renders the current state once; ``--follow`` polls until the run has
+finished, an interrupt, or ``--max-updates`` renders. A run has finished
+at its ``*.done`` event, or once its ``metrics.json`` exists: the run
+scaffold (:func:`repro.obs.run.observed_run`) writes that file after it
+closes ``events.jsonl``, so the poll after it appears reads the last
+event of a run that emits no ``*.done`` (``repro.experiments fig2``).
 
 A sharded run (``repro sharded``) keeps one γ̂ series per site, from its
 ``sharded.round`` events; each site also emits the single-site
@@ -30,10 +34,9 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.obs.report import EVENTS_FILE, METRICS_FILE
 from repro.utils.asciiplot import line_plot
 from repro.utils.tables import format_table
-
-EVENTS_FILE = "events.jsonl"
 
 #: Event kinds carrying a convergence sample, with their field names.
 _CONVERGENCE_KINDS = {
@@ -70,6 +73,14 @@ class TraceWatcher:
         self.done_payload: Optional[dict] = None
 
     # -- ingestion -----------------------------------------------------
+    def finished(self) -> bool:
+        """True once the run scaffold has written ``metrics.json``.
+
+        Check it *before* a poll: the file appears only after the events
+        file is closed, so that poll reads the run's last event.
+        """
+        return (self.trace_dir / METRICS_FILE).exists()
+
     def poll(self) -> int:
         """Consume newly appended events; returns how many were read."""
         if not self.events_path.exists():
@@ -193,18 +204,21 @@ def watch(
 
     In follow mode a new frame is printed whenever fresh events arrive,
     until ``max_updates`` frames have been shown, the run emits its
-    ``*.done`` event, or the user interrupts.
+    ``*.done`` event, a poll has read a finished run's events to the end
+    (:meth:`TraceWatcher.finished`), or the user interrupts.
     """
     stream = stream if stream is not None else sys.stdout
     watcher = TraceWatcher(trace_dir)
+    finished = watcher.finished()
     watcher.poll()
     print(watcher.render(), file=stream)
     updates = 1
     try:
         while follow and (max_updates is None or updates < max_updates):
-            if watcher.done_payload is not None:
+            if finished or watcher.done_payload is not None:
                 break
             time.sleep(interval)
+            finished = watcher.finished()
             if watcher.poll():
                 print("", file=stream)
                 print(watcher.render(), file=stream)

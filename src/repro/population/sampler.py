@@ -71,26 +71,6 @@ class PopulationConfig:
         )
 
 
-#: Parameter-array attributes, in constructor order. Shared-memory packs
-#: use these names as keys, so a pack doubles as the backing store.
-_ARRAY_FIELDS = ("arrival_rates", "service_rates", "offload_latencies",
-                 "energy_local", "energy_offload", "weights")
-
-
-def _attach_shared_population(pack, capacity: float) -> "Population":
-    """Unpickle target for shared-memory populations: reattach by handle.
-
-    Skips the O(N) constructor validation — the sharing process validated
-    the arrays once at construction, and the views are the same bytes.
-    """
-    population = Population.__new__(Population)
-    for field_name in _ARRAY_FIELDS:
-        setattr(population, field_name, pack.views[field_name])
-    population.capacity = capacity
-    population._shm = pack
-    return population
-
-
 class Population:
     """A sampled heterogeneous population with vectorised parameter arrays."""
 
@@ -124,7 +104,6 @@ class Population:
             raise ValueError("arrival and service rates must be strictly positive")
         if np.any(self.arrival_rates >= self.capacity):
             raise ValueError("every arrival rate must satisfy a_n < c")
-        self._shm = None
 
     @property
     def size(self) -> int:
@@ -187,52 +166,10 @@ class Population:
             capacity=capacity,
         )
 
-    def share_memory(self) -> "Population":
-        """Back the parameter arrays with one shared-memory segment.
-
-        After this the population pickles *by handle* (segment name +
-        layout, ~hundreds of bytes) and an unpickling process — e.g. a
-        ``TaskRunner`` process worker receiving one population per
-        replication — reattaches to the same physical pages instead of
-        copying six N-element arrays per task. Idempotent; returns
-        ``self``. The creating process owns the segment and unlinks it at
-        GC/interpreter exit (see :mod:`repro.runtime.shm`), so do not put
-        handle-pickled populations in a persistent cache.
-        """
-        if self._shm is not None:
-            return self
-        from repro.runtime.shm import SharedArrayPack
-
-        pack = SharedArrayPack(
-            {name: getattr(self, name) for name in _ARRAY_FIELDS})
-        for name in _ARRAY_FIELDS:
-            setattr(self, name, pack.views[name])
-        self._shm = pack
-        return self
-
-    def __reduce_ex__(self, protocol):
-        if getattr(self, "_shm", None) is None:
-            return super().__reduce_ex__(protocol)
-        return (_attach_shared_population, (self._shm, self.capacity))
-
-    def __canonical__(self):
-        # Cache keys must not depend on the backing store (and the pack's
-        # memoryview is not canonicalizable anyway): identity is the
-        # parameter arrays plus capacity — the exact tree plain-object
-        # encoding produced before ``_shm`` existed, so keys are stable.
-        return {
-            "__type__": f"{type(self).__module__}.{type(self).__qualname__}",
-            "state": {
-                **{name: getattr(self, name) for name in _ARRAY_FIELDS},
-                "capacity": self.capacity,
-            },
-        }
-
     def __repr__(self) -> str:
-        shared = "" if self._shm is None else ", shared"
         return (f"Population(n={self.size}, c={self.capacity:g}, "
                 f"E[a]={self.arrival_rates.mean():.4g}, "
-                f"E[s]={self.service_rates.mean():.4g}{shared})")
+                f"E[s]={self.service_rates.mean():.4g})")
 
 
 def sample_population(

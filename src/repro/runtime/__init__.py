@@ -5,8 +5,9 @@ per point, Monte-Carlo evaluation of ``V(γ)`` over sampled populations,
 independent DES replications — is a batch of pure, seeded tasks. This
 subsystem turns those ``for`` loops into one reusable fan-out layer:
 
-* :class:`TaskRunner` — executes :class:`TaskSpec` batches inline, on
-  threads, or on per-task worker processes (``jobs=N``), with per-task
+* :class:`TaskRunner` — executes :class:`TaskSpec` batches inline
+  (``jobs=1``) or on per-task forked worker processes (``jobs=N``), which
+  inherit their task's inputs instead of receiving a copy, with per-task
   timeouts, bounded retry on a fresh worker, and structured failure
   capture (:class:`TaskFailure`) instead of batch-killing exceptions;
 * :func:`derive_seeds` — deterministic per-task seed derivation via
@@ -37,7 +38,7 @@ from repro.runtime.canonical import (
     content_digest,
     function_qualname,
 )
-from repro.runtime.runner import BACKENDS, TaskRunner, run_tasks
+from repro.runtime.runner import TaskRunner, run_tasks
 from repro.runtime.task import (
     TaskFailure,
     TaskResult,
@@ -46,7 +47,6 @@ from repro.runtime.task import (
 )
 
 __all__ = [
-    "BACKENDS",
     "ResultCache",
     "TaskFailure",
     "TaskResult",

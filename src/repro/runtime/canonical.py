@@ -14,8 +14,7 @@ JSON-serialisable tree with a stable, order-independent encoding:
   so two configs of different classes with the same field values cannot
   collide; objects may override this by defining ``__canonical__()``
   returning their value identity as a canonicalizable tree (used by
-  shared-memory backed kernels/populations, whose raw ``__dict__`` holds
-  derived tables and memoryviews);
+  compiled kernels, whose raw ``__dict__`` holds derived tables);
 * :class:`numpy.random.SeedSequence` is encoded by its entropy + spawn key —
   exactly the quantities that determine the stream.
 
@@ -76,10 +75,10 @@ def canonicalize(obj: Any) -> Any:
         return [canonicalize(item) for item in obj]
     hook = getattr(type(obj), "__canonical__", None)
     if hook is not None:
-        # Objects with derived or non-encodable state (shared-memory
-        # backed kernels/populations, whose __dict__ drags in megabytes
-        # of tables and raw memoryviews) declare their value identity
-        # explicitly; the returned tree is canonicalized recursively.
+        # Objects with derived state (compiled kernels, whose __dict__
+        # drags in megabytes of tables and lazy-fill bookkeeping) declare
+        # their value identity explicitly; the returned tree is
+        # canonicalized recursively.
         return canonicalize(hook(obj))
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         fields = {

@@ -6,13 +6,12 @@ per spec, in input order, regardless of completion order:
 
 * ``jobs=1`` (default) executes inline in the calling thread — zero
   scheduling overhead, identical code path for debugging;
-* ``backend="process"`` (default for ``jobs>1``) runs each task in its own
-  worker process with a result pipe. A hung task is *terminated* at its
-  deadline and retried in a fresh process — the "fresh spawned worker" that
-  makes per-task timeouts actually enforceable;
-* ``backend="thread"`` trades isolation for start-up cost. Python threads
-  cannot be killed, so a timed-out thread is abandoned (daemonised) and
-  the retry runs on a new one.
+* ``jobs>1`` forks one worker process per task, with a result pipe. The
+  child inherits its spec — kernels, populations and all — in the
+  parent's copy-on-write pages, so nothing is pickled on the way in;
+  only the result travels back through the pipe. A hung task is
+  *terminated* at its deadline and retried in a fresh process — the
+  fresh worker that makes per-task timeouts enforceable.
 
 Scheduling keeps at most ``jobs`` tasks in flight, so a submitted task
 starts immediately on a free worker and the per-task deadline measured
@@ -20,32 +19,30 @@ from submission is accurate.
 
 Determinism: seeds are pre-assigned on the specs (see
 :func:`repro.runtime.task.derive_seeds`), so results are bit-identical for
-any ``jobs`` count and any backend. With a :class:`~repro.runtime.cache.ResultCache`
+any ``jobs`` count. With a :class:`~repro.runtime.cache.ResultCache`
 attached, each task is looked up before scheduling and stored after
 success; observability events (``task.scheduled`` / ``task.completed`` /
 ``task.retried`` / ``task.failed`` / ``cache.hit`` / ``cache.miss``) flow
-through the ambient :mod:`repro.obs` recorder.
+through the ambient :mod:`repro.obs` recorder. A forked worker runs its
+task under the null recorder, so at ``jobs>1`` a trace holds the
+runner's own events and nothing from inside the tasks.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
-import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.obs.context import resolve_recorder
-from repro.obs.recorder import Recorder
+from repro.obs.context import resolve_recorder, use_recorder
+from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.runtime.cache import ResultCache
 from repro.runtime.canonical import canonicalize
 from repro.runtime.task import TaskFailure, TaskResult, TaskSpec, derive_seeds
 from repro.utils.rng import SeedLike
-
-BACKENDS = ("inline", "thread", "process")
 
 #: Scheduler poll period (seconds). Tasks here are coarse (≥ tens of ms),
 #: so a 2 ms poll adds < 1% overhead while keeping timeouts responsive.
@@ -53,7 +50,11 @@ _POLL_SECONDS = 0.002
 
 
 def _pick_context():
-    """Prefer fork (no pickling of the task function, cheap start-up)."""
+    """Prefer fork: the child inherits its spec instead of unpickling it.
+
+    Without fork (non-POSIX platforms) the default context pickles the
+    spec by value.
+    """
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -61,9 +62,16 @@ def _pick_context():
 
 
 def _process_child(conn, spec: TaskSpec) -> None:
-    """Worker-process entry point: run the task, ship back one message."""
+    """Worker-process entry point: run the task, ship back one message.
+
+    The task runs under the null recorder. The child inherits the
+    parent's recorder, buffered trace files included; writing there
+    would flush the parent's pending lines a second time, and the
+    child's own tail would be lost when it exits.
+    """
     try:
-        value = spec.call()
+        with use_recorder(NULL_RECORDER):
+            value = spec.call()
         try:
             conn.send(("ok", value))
         except Exception as error:
@@ -90,7 +98,6 @@ class _Pending:
     key: Optional[str]
     document: Optional[str]
     attempt: int = 1
-    spec_bytes: Optional[int] = None
 
 
 class _ProcessWorker:
@@ -143,57 +150,18 @@ class _ProcessWorker:
         self._parent.close()
 
 
-class _ThreadWorker:
-    """One task on one daemon thread (abandoned, not killed, on timeout)."""
-
-    def __init__(self, pending: _Pending):
-        self.pending = pending
-        self.started = time.perf_counter()
-        self._box: dict = {}
-        self._done = threading.Event()
-        self._thread = threading.Thread(
-            target=self._main, args=(pending.spec,), daemon=True,
-        )
-        self._thread.start()
-
-    def _main(self, spec: TaskSpec) -> None:
-        try:
-            self._box["message"] = ("ok", spec.call())
-        except BaseException as error:  # noqa: BLE001
-            self._box["message"] = ("error", TaskFailure(
-                kind="exception",
-                message=f"{type(error).__name__}: {error}",
-                traceback=traceback.format_exc(),
-            ))
-        finally:
-            self._done.set()
-
-    def poll(self):
-        if not self._done.is_set():
-            return None
-        return self._box["message"]
-
-    def kill(self) -> None:
-        # Threads cannot be terminated; the daemon thread is abandoned and
-        # its eventual result (if any) is discarded.
-        pass
-
-
 class TaskRunner:
     """Fan tasks out over workers; collect results in input order.
 
     Parameters
     ----------
     jobs:
-        Maximum tasks in flight. ``jobs=1`` runs inline unless a pool
-        backend is forced explicitly.
-    backend:
-        ``"inline"``, ``"thread"``, ``"process"``, or ``None`` for the
-        default (inline when ``jobs == 1``, processes otherwise).
+        Maximum tasks in flight. ``jobs=1`` runs inline; more forks one
+        worker process per task.
     timeout:
-        Per-task deadline in seconds (``None``: no deadline). Enforced
-        accurately for the thread/process backends; the inline backend
-        cannot interrupt a running call and ignores it.
+        Per-task deadline in seconds (``None``: no deadline), enforced
+        by terminating the worker process. An inline call cannot be
+        interrupted, so ``jobs=1`` ignores it.
     retries:
         How many times a failed (raised / timed-out / crashed) task is
         re-run on a fresh worker before its failure is reported.
@@ -201,43 +169,28 @@ class TaskRunner:
         A :class:`ResultCache` (or a directory path for one).
     recorder:
         Explicit :mod:`repro.obs` recorder; defaults to the ambient one.
-    measure_bytes:
-        Record ``len(pickle.dumps(spec))`` on each result as
-        ``spec_bytes`` — the payload a process worker would receive.
-        Off by default: serialising a spec that carries a 10⁷-user
-        population just to weigh it costs more than running the task.
-        The fork start method never pickles the spec, so this is a
-        what-would-ship measurement, identical across backends.
     """
 
     def __init__(
         self,
         jobs: int = 1,
-        backend: Optional[str] = None,
         timeout: Optional[float] = None,
         retries: int = 1,
         cache: Optional[Any] = None,
         recorder: Optional[Recorder] = None,
-        measure_bytes: bool = False,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
         if retries < 0:
             raise ValueError(f"retries must be non-negative, got {retries}")
         self.jobs = jobs
-        self.backend = backend or ("inline" if jobs == 1 else "process")
         self.timeout = timeout
         self.retries = retries
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
-        self.measure_bytes = measure_bytes
         self._recorder = recorder
 
     # ---------------------------------------------------------------- run --
@@ -247,6 +200,7 @@ class TaskRunner:
         obs = resolve_recorder(self._recorder)
         results: List[Optional[TaskResult]] = [None] * len(specs)
         pending: deque = deque()
+        backend = "inline" if self.jobs == 1 else "process"
 
         for index, spec in enumerate(specs):
             key = document = None
@@ -268,23 +222,15 @@ class TaskRunner:
                 if obs.enabled:
                     obs.count("runtime.cache_misses")
                     obs.event("cache.miss", task=spec.label, key=key[:16])
-            spec_bytes = None
-            if self.measure_bytes:
-                spec_bytes = len(
-                    pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-                if obs.enabled:
-                    obs.observe("runtime.task_spec_bytes", spec_bytes)
-            pending.append(_Pending(index, spec, key, document,
-                                    spec_bytes=spec_bytes))
+            pending.append(_Pending(index, spec, key, document))
             if obs.enabled:
                 obs.count("runtime.tasks_scheduled")
                 obs.event("task.scheduled", task=spec.label, index=index,
-                          backend=self.backend)
+                          backend=backend)
 
         # timer() is the shared null context when obs is off — free here.
         with obs.timer("runtime.run_seconds"):
-            if self.backend == "inline":
+            if self.jobs == 1:
                 self._run_inline(pending, results, obs)
             else:
                 self._run_pool(pending, results, obs)
@@ -312,16 +258,12 @@ class TaskRunner:
 
     # --------------------------------------------------------------- pool --
     def _run_pool(self, pending, results, obs) -> None:
-        ctx = _pick_context() if self.backend == "process" else None
-        active: List[Any] = []
+        ctx = _pick_context()
+        active: List[_ProcessWorker] = []
         try:
             while pending or active:
                 while pending and len(active) < self.jobs:
-                    item = pending.popleft()
-                    if self.backend == "process":
-                        active.append(_ProcessWorker(item, ctx))
-                    else:
-                        active.append(_ThreadWorker(item))
+                    active.append(_ProcessWorker(pending.popleft(), ctx))
                 finished, still_active = [], []
                 for worker in active:
                     message = worker.poll()
@@ -368,9 +310,7 @@ class TaskRunner:
                 obs.count("runtime.cache_stores")
         results[item.index] = TaskResult(
             index=item.index, name=item.spec.label, value=value,
-            attempts=item.attempt, seconds=elapsed, key=item.key,
-            spec_bytes=item.spec_bytes,
-        )
+            attempts=item.attempt, seconds=elapsed, key=item.key)
         if obs.enabled:
             obs.count("runtime.tasks_completed")
             obs.observe("runtime.task_seconds", elapsed)
@@ -385,16 +325,12 @@ class TaskRunner:
                 obs.event("task.retried", task=item.spec.label,
                           index=item.index, attempt=item.attempt,
                           failure=failure.kind, message=failure.message)
-            pending.append(_Pending(
-                item.index, item.spec, item.key, item.document,
-                attempt=item.attempt + 1, spec_bytes=item.spec_bytes,
-            ))
+            pending.append(_Pending(item.index, item.spec, item.key,
+                                    item.document, attempt=item.attempt + 1))
             return
         results[item.index] = TaskResult(
             index=item.index, name=item.spec.label, error=failure,
-            attempts=item.attempt, key=item.key,
-            spec_bytes=item.spec_bytes,
-        )
+            attempts=item.attempt, key=item.key)
         if obs.enabled:
             obs.count("runtime.tasks_failed")
             obs.event("task.failed", task=item.spec.label, index=item.index,

@@ -6,7 +6,7 @@ The execution contract that makes parallelism invisible to results:
   function, keyword arguments, and a *pre-assigned* seed;
 * seeds are fixed when the spec list is built (:func:`derive_seeds`), never
   drawn from a shared stream during execution, so any scheduling order —
-  ``jobs=1`` inline, 4 processes, retries after a crash — produces
+  ``jobs=1`` inline, 4 forked workers, retries after a crash — produces
   bit-identical outputs;
 * a :class:`TaskResult` always comes back, success or not: a failed task
   carries a structured :class:`TaskFailure` (kind, message, traceback,
@@ -50,11 +50,12 @@ def derive_seeds(seed: SeedLike, count: int) -> List[np.random.SeedSequence]:
 class TaskSpec:
     """One unit of work: ``fn(**kwargs)`` (plus ``seed=`` when set).
 
-    ``fn`` must be an importable module-level callable — both the process
-    backend and the cache key require a stable name. ``seed`` may be an
-    int, a :class:`~numpy.random.SeedSequence`, or ``None`` (seedless
-    task); when not ``None`` it is passed to ``fn`` as the keyword argument
-    ``seed``. ``name`` labels the task in observability events.
+    ``fn`` must be an importable module-level callable — the cache key
+    names it, and so does the pickle a worker receives on a platform
+    without fork. ``seed`` may be an int, a
+    :class:`~numpy.random.SeedSequence`, or ``None`` (seedless task); when
+    not ``None`` it is passed to ``fn`` as the keyword argument ``seed``.
+    ``name`` labels the task in observability events.
     """
 
     fn: Callable[..., Any]
@@ -104,12 +105,6 @@ class TaskResult:
     seconds: float = 0.0
     cache_hit: bool = False
     key: Optional[str] = None
-    #: Pickled size of the spec shipped to a worker, when the runner was
-    #: asked to measure it (``TaskRunner(measure_bytes=True)``); ``None``
-    #: otherwise. Shared-memory backed populations/kernels pickle by
-    #: handle, so this is the number that shrinks from megabytes to a few
-    #: hundred bytes under zero-copy sharing.
-    spec_bytes: Optional[int] = None
 
     @property
     def ok(self) -> bool:

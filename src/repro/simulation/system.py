@@ -249,7 +249,6 @@ def simulate_system_replicated(
     cache: Optional[object] = None,
     timeout: Optional[float] = None,
     backend: str = "event",
-    share_population: bool = False,
 ) -> ReplicatedMeasurement:
     """Independent replications of :func:`simulate_system` with CIs.
 
@@ -265,21 +264,11 @@ def simulate_system_replicated(
     *before* execution in index order, so the intervals are bit-identical
     for any ``jobs`` count — for the ``"vectorized"`` backend exactly as
     for ``"event"``.
-
-    ``share_population=True`` moves the population's arrays into POSIX
-    shared memory (:meth:`repro.population.Population.share_memory`)
-    before building the specs, so every replication's spec pickles the
-    population by handle (a few hundred bytes) instead of copying every
-    array to every worker. Results are bit-identical either way — the
-    arrays' contents are unchanged, and the cache key is too
-    (``Population.__canonical__`` hashes contents, not storage).
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for an interval")
     from repro.runtime import TaskRunner, TaskSpec, derive_seeds
 
-    if share_population:
-        population = population.share_memory()
     base = config or MeasurementConfig()
     rep_seeds = derive_seeds(base.seed, replications)
     specs = [

@@ -27,7 +27,7 @@ from repro.core.equilibrium import solve_mfne
 from repro.core.meanfield import MeanFieldMap
 from repro.experiments.report import SeriesResult
 from repro.population.distributions import Deterministic, Scaled, Uniform
-from repro.population.sampler import Population, PopulationConfig, sample_population
+from repro.population.sampler import PopulationConfig, sample_population
 from repro.runtime import TaskRunner, TaskSpec
 from repro.utils.rng import SeedLike, as_generator
 
@@ -130,58 +130,6 @@ def _sweep_point(
     return row
 
 
-def _sweep_point_shared(
-    parameter: str,
-    value: float,
-    kernel,
-    include_dtu: bool,
-    seed: SeedLike = None,
-) -> tuple:
-    """Solve one capacity-sweep point against a shared donor kernel.
-
-    ``kernel`` is the parent's shared-memory backed
-    :class:`~repro.core.kernels.CompiledMeanField` (it pickles by handle,
-    so this task's spec is a few hundred bytes regardless of ``n_users``).
-    Capacity never enters the staircases or the α/Q tables — it only
-    scales the aggregate utilisation ``Σ α_n a_n / (N c)`` — so the point
-    kernel is an O(N) :meth:`~repro.core.kernels.CompiledMeanField.with_shared_tables`
-    borrow with the point's capacity, and the row is bit-identical to the
-    resampling :func:`_sweep_point` (the populations are the same floats:
-    common random numbers, and the capacity knob does not touch the
-    sampling distributions). ``seed`` keeps the cache-key structure of the
-    plain path; the task itself draws nothing.
-    """
-    from repro.core.kernels import CompiledMeanField
-
-    donor_pop = kernel.population
-    population = Population(
-        arrival_rates=donor_pop.arrival_rates,
-        service_rates=donor_pop.service_rates,
-        offload_latencies=donor_pop.offload_latencies,
-        energy_local=donor_pop.energy_local,
-        energy_offload=donor_pop.energy_offload,
-        weights=donor_pop.weights,
-        capacity=float(value),
-    )
-    mean_field = CompiledMeanField.with_shared_tables(
-        kernel, population, kernel.delay_model)
-    equilibrium = solve_mfne(mean_field)
-    thresholds = mean_field.best_response(equilibrium.utilization)
-    alpha = mean_field.offload_probabilities(thresholds)
-    cost = mean_field.average_cost(equilibrium.utilization, thresholds)
-    if include_dtu:
-        dtu_iterations = run_dtu(mean_field).iterations
-    else:
-        dtu_iterations = None
-    return (
-        float(value),
-        float(equilibrium.utilization),
-        float(cost),
-        float(np.mean(alpha)),
-        dtu_iterations if dtu_iterations is not None else "-",
-    )
-
-
 def run_sweep(
     parameter: str,
     values: Sequence[float],
@@ -193,7 +141,6 @@ def run_sweep(
     timeout: Optional[float] = None,
     backend: Optional[str] = None,
     sim_horizon: float = 150.0,
-    shared_kernel: bool = False,
 ) -> SeriesResult:
     """Sweep one knob over ``values``; solve the equilibrium at each point.
 
@@ -208,17 +155,6 @@ def run_sweep(
     column: every point's equilibrium is re-measured by a full system
     simulation over ``sim_horizon`` time units. The vectorized fast path
     makes this validation affordable at every sweep point.
-
-    ``shared_kernel=True`` (capacity sweeps only) samples the population
-    and builds the staircase/α/Q tables *once* in the parent, moves them
-    into shared memory, and sends every point an O(N) borrower of that
-    one kernel instead of resampling and recompiling per point: per-task
-    pickles drop to a handle and the sweep costs one full build total.
-    Rows are bit-identical to the resampling path — capacity does not
-    enter the tables, and common random numbers make every point's
-    population the same floats anyway. Other knobs change the sampled
-    profiles (so the tables), and the simulation cross-check resamples
-    per point; both raise.
     """
     if parameter not in PARAMETERS:
         raise KeyError(
@@ -227,43 +163,17 @@ def run_sweep(
         )
     if not values:
         raise ValueError("values must be non-empty")
-    if shared_kernel:
-        if parameter != "capacity":
-            raise ValueError(
-                "shared_kernel supports only the capacity sweep; "
-                f"{parameter!r} changes the sampled profiles and with them "
-                "the staircase/α/Q tables")
-        if backend is not None:
-            raise ValueError(
-                "shared_kernel cannot cross-check against a simulation "
-                "backend: the simulation path resamples per point")
-        config, delay_model = _config(capacity=float(min(values)))
-        population = sample_population(config, n_users,
-                                       rng=as_generator(seed))
-        donor = MeanFieldMap(population, delay_model).compile()
-        donor.share_memory()
-        specs = [
-            TaskSpec(
-                fn=_sweep_point_shared,
-                kwargs=dict(parameter=parameter, value=float(value),
-                            kernel=donor, include_dtu=include_dtu),
-                seed=seed,
-                name=f"sweep[{parameter}={value:g}]",
-            )
-            for value in values
-        ]
-    else:
-        specs = [
-            TaskSpec(
-                fn=_sweep_point,
-                kwargs=dict(parameter=parameter, value=float(value),
-                            n_users=n_users, include_dtu=include_dtu,
-                            backend=backend, sim_horizon=sim_horizon),
-                seed=seed,
-                name=f"sweep[{parameter}={value:g}]",
-            )
-            for value in values
-        ]
+    specs = [
+        TaskSpec(
+            fn=_sweep_point,
+            kwargs=dict(parameter=parameter, value=float(value),
+                        n_users=n_users, include_dtu=include_dtu,
+                        backend=backend, sim_horizon=sim_horizon),
+            seed=seed,
+            name=f"sweep[{parameter}={value:g}]",
+        )
+        for value in values
+    ]
     runner = TaskRunner(jobs=jobs, cache=cache, timeout=timeout)
     rows: List[tuple] = [result.unwrap() for result in runner.run(specs)]
     columns = (parameter, "gamma*", "avg cost", "mean offload frac",

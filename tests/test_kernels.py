@@ -7,8 +7,6 @@ boundary ties ``U == f(m|θ)`` — so that compiling is purely a speed
 choice and never changes a published number.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -348,17 +346,6 @@ class TestSolverIntegration:
             mean_field.average_cost(0.3, thresholds)
 
 
-# --- module-level worker target (the fork child below needs an importable
-# --- name; the payload itself travels as explicit pickle bytes).
-
-def _child_reattach_value(payload, gamma, conn):
-    import pickle as _pickle
-
-    kernel = _pickle.loads(payload)
-    conn.send((kernel.value(gamma), kernel.shared_memory_name))
-    conn.close()
-
-
 class TestLazyTables:
     """Lever 2: deferred probe layout + on-demand α/Q fill, byte-equal."""
 
@@ -588,88 +575,3 @@ class TestBracketedProbes:
         assert first["kernel.bracket_hits"] > 0
         assert first["kernel.column_reuses"] > 0      # synchronous DTU
         assert first["kernel.column_fallbacks"] > 0   # asynchronous mixes
-
-
-class TestSharedMemoryKernel:
-    """Lever 1: one table image across processes, pickled by handle."""
-
-    def _segments(self):
-        import os
-
-        if not os.path.isdir("/dev/shm"):
-            return set()
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-
-    def test_pickle_roundtrip_by_handle(self, mean_field):
-        kernel = mean_field.compile()
-        values = [kernel.value(g) for g in (0.0, 0.25, 0.5, 1.0)]
-        kernel.share_memory()
-        payload = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
-        assert len(payload) < 16_384, \
-            "a shared kernel must pickle by handle, not by value"
-        clone = pickle.loads(payload)
-        assert [clone.value(g) for g in (0.0, 0.25, 0.5, 1.0)] == values
-        assert clone.shared_memory_name == kernel.shared_memory_name
-
-    def test_share_memory_idempotent_and_bit_identical(self, mean_field):
-        kernel = mean_field.compile()
-        before = [kernel.value(g) for g in (0.1, 0.6)]
-        thresholds_before = kernel.thresholds(0.4).copy()
-        assert kernel.share_memory() is kernel
-        assert kernel.share_memory() is kernel
-        assert [kernel.value(g) for g in (0.1, 0.6)] == before
-        np.testing.assert_array_equal(kernel.thresholds(0.4),
-                                      thresholds_before)
-
-    def test_process_worker_reproduces_value(self, mean_field):
-        """A *different process* reattaches by handle and agrees on V(γ)."""
-        import multiprocessing
-
-        kernel = mean_field.compile().share_memory()
-        expected = kernel.value(0.5)
-        payload = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
-        ctx = multiprocessing.get_context("fork")
-        parent, child = ctx.Pipe(duplex=False)
-        worker = ctx.Process(target=_child_reattach_value,
-                             args=(payload, 0.5, child))
-        worker.start()
-        child.close()
-        value, segment = parent.recv()
-        worker.join()
-        parent.close()
-        assert worker.exitcode == 0
-        assert value == expected
-        assert segment == kernel.shared_memory_name
-
-    def test_borrower_pickles_by_handle(self, small_population, paper_delay):
-        donor = CompiledMeanField(small_population, paper_delay)
-        donor.share_memory()
-        borrower = CompiledMeanField.with_shared_tables(
-            donor, small_population, paper_delay)
-        assert borrower.shares_tables_with(donor)
-        payload = pickle.dumps(borrower, protocol=pickle.HIGHEST_PROTOCOL)
-        assert len(payload) < 65_536
-        clone = pickle.loads(payload)
-        assert clone.value(0.5) == borrower.value(0.5) == donor.value(0.5)
-
-    def test_canonical_identity_unchanged_by_sharing(self, small_population,
-                                                     paper_delay):
-        from repro.runtime.canonical import content_digest
-
-        plain = CompiledMeanField(small_population, paper_delay)
-        unshared_digest = content_digest(plain)
-        plain.share_memory()
-        assert content_digest(plain) == unshared_digest
-
-    def test_no_dev_shm_leak_after_release(self, mean_field):
-        import gc
-
-        before = self._segments()
-        kernel = mean_field.compile().share_memory()
-        name = kernel.shared_memory_name
-        assert name in self._segments()
-        population = kernel.population
-        del kernel
-        population._shm = None          # drop the co-owning reference
-        gc.collect()
-        assert self._segments() - before == set()

@@ -308,6 +308,31 @@ class TestWatch:
         text = watcher.render()
         assert "site 2 γ̂" in text and "convergence per site" in text
 
+    def test_follow_returns_on_a_finished_trace_without_done(self,
+                                                              tmp_path):
+        """A ``repro.experiments fig2`` trace has no ``*.done`` event;
+        following it returns once ``metrics.json`` exists, with every
+        event read."""
+        import io
+        import threading
+
+        from repro.experiments.__main__ import main as experiments_main
+        from repro.obs import read_events
+        from repro.obs.watch import watch
+
+        assert experiments_main(
+            ["fig2", "--trace", str(tmp_path), "--quiet"]) == 0
+        watched = []
+        follower = threading.Thread(target=lambda: watched.append(watch(
+            tmp_path, follow=True, interval=0.01, stream=io.StringIO())),
+            daemon=True)
+        follower.start()
+        follower.join(timeout=30)
+        assert not follower.is_alive() and len(watched) == 1
+        assert watched[0].done_payload is None
+        assert watched[0].events_seen == \
+            len(list(read_events(tmp_path / "events.jsonl")))
+
     def test_cli_graceful_on_missing_dir(self, tmp_path, capsys):
         assert watch_main([str(tmp_path / "nope")]) == 1
         assert capsys.readouterr().err.startswith("error:")

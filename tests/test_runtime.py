@@ -14,11 +14,18 @@ from __future__ import annotations
 
 import pickle
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry, ObsRecorder, use_recorder
+from repro.obs import (
+    MetricsRegistry,
+    ObsRecorder,
+    Tracer,
+    read_events,
+    use_recorder,
+)
 from repro.runtime import (
     ResultCache,
     TaskRunner,
@@ -32,8 +39,8 @@ from repro.runtime import (
 )
 
 
-# --- module-level task functions (the process backend and the cache need
-# --- importable names; lambdas are rejected by design).
+# --- module-level task functions (the cache needs importable names;
+# --- lambdas are rejected by design).
 
 def _square(value, seed):
     return value * value
@@ -55,8 +62,22 @@ def _hang(seconds, seed):
 _FLAKY_CALLS = {"count": 0}
 
 
+class _Unpicklable:
+    """A task input that refuses to be pickled."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        raise TypeError("this input must reach its worker unpickled")
+
+
+def _doubled(box, seed):
+    return 2 * box.value
+
+
 def _flaky_inline(seed):
-    # Only meaningful on the inline backend (shared interpreter state).
+    # Only meaningful inline (jobs=1 shares the interpreter state).
     _FLAKY_CALLS["count"] += 1
     if _FLAKY_CALLS["count"] == 1:
         raise RuntimeError("first attempt fails")
@@ -140,19 +161,25 @@ class TestRunnerBasics:
         assert [r.unwrap() for r in results] == [9, 1, 4]
         assert all(r.ok and r.attempts == 1 for r in results)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_pool_backends_match_inline(self, backend):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "process"])
+    def test_pool_backends_match_inline(self, jobs):
         inline = run_tasks(_seeded_draw, [{"n": 5}] * 4, seed=9)
-        pooled = run_tasks(_seeded_draw, [{"n": 5}] * 4, seed=9,
-                           jobs=4, backend=backend)
+        pooled = run_tasks(_seeded_draw, [{"n": 5}] * 4, seed=9, jobs=jobs)
         for a, b in zip(inline, pooled):
             np.testing.assert_array_equal(a.unwrap(), b.unwrap())
+
+    def test_workers_inherit_unpicklable_inputs(self):
+        """Workers are forked: a task's inputs reach it without a pickle."""
+        box = _Unpicklable(21)
+        with pytest.raises(TypeError):
+            pickle.dumps(box)
+        results = TaskRunner(jobs=2, retries=0).run(
+            [TaskSpec(_doubled, {"box": box}, seed=1) for _ in range(2)])
+        assert [result.unwrap() for result in results] == [42, 42]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             TaskRunner(jobs=0)
-        with pytest.raises(ValueError):
-            TaskRunner(backend="carrier-pigeon")
         with pytest.raises(ValueError):
             TaskRunner(timeout=0)
         with pytest.raises(ValueError):
@@ -288,10 +315,9 @@ class TestResultCache:
 class TestFailureHandling:
     """(c) raising / hanging tasks retry, then report; the batch survives."""
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "process"])
-    def test_raising_task_reported_not_fatal(self, backend):
-        jobs = 1 if backend == "inline" else 2
-        runner = TaskRunner(jobs=jobs, backend=backend, retries=1)
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "process"])
+    def test_raising_task_reported_not_fatal(self, jobs):
+        runner = TaskRunner(jobs=jobs, retries=1)
         results = runner.run([
             TaskSpec(_raise_always, seed=1, name="bad"),
             TaskSpec(_square, {"value": 7}, seed=2, name="good"),
@@ -310,7 +336,7 @@ class TestFailureHandling:
                 events.append((kind, payload))
                 super().event(kind, **payload)
 
-        runner = TaskRunner(jobs=2, backend="process", timeout=0.3, retries=1)
+        runner = TaskRunner(jobs=2, timeout=0.3, retries=1)
         started = time.perf_counter()
         with use_recorder(Capture(MetricsRegistry())):
             results = runner.run([
@@ -342,8 +368,7 @@ class TestObservability:
     def test_lifecycle_events_and_metrics(self):
         recorder = ObsRecorder(MetricsRegistry())
         with use_recorder(recorder):
-            run_tasks(_square, [{"value": v} for v in (1, 2)], jobs=2,
-                      backend="thread")
+            run_tasks(_square, [{"value": v} for v in (1, 2)], jobs=2)
         counters = recorder.registry.snapshot()["counters"]
         assert counters["runtime.tasks_scheduled"] == 2
         assert counters["runtime.tasks_completed"] == 2
@@ -355,45 +380,21 @@ class TestObservability:
         results = run_tasks(_square, [{"value": 3}])
         assert results[0].unwrap() == 9
 
+    def test_forked_workers_leave_the_parent_trace_alone(self, tmp_path):
+        """At ``jobs=2`` the trace holds the runner's own events, once
+        each, in order: a forked worker runs its task under the null
+        recorder instead of writing to the inherited trace file."""
+        from repro.sweep import run_sweep
 
-class TestSpecBytes:
-    """measure_bytes: per-task pickle payload reported on each result."""
-
-    def test_measured_when_enabled(self):
-        specs = [TaskSpec(_square, kwargs={"value": v}, seed=1)
-                 for v in (2, 3)]
-        results = TaskRunner(measure_bytes=True).run(specs)
-        for spec, result in zip(specs, results):
-            assert result.ok
-            # The measurement is the honest what-would-ship number.
-            assert result.spec_bytes == len(pickle.dumps(
-                spec, protocol=pickle.HIGHEST_PROTOCOL))
-            assert result.spec_bytes > 0
-
-    def test_absent_by_default(self):
-        result = TaskRunner().run(
-            [TaskSpec(_square, kwargs={"value": 2}, seed=1)])[0]
-        assert result.spec_bytes is None
-
-    def test_run_tasks_forwards_option(self):
-        results = run_tasks(_square, [{"value": 4}], measure_bytes=True)
-        assert results[0].spec_bytes is not None and results[0].spec_bytes > 0
-
-    def test_shared_population_shrinks_payload(self, tmp_path):
-        from repro.population.scenarios import build_scenario
-        from repro.population.sampler import sample_population
-
-        population = sample_population(
-            build_scenario("paper-theoretical"), 2000, rng=3)
-        copied = len(pickle.dumps(population,
-                                  protocol=pickle.HIGHEST_PROTOCOL))
-        assert population.share_memory() is population
-        shared = len(pickle.dumps(population,
-                                  protocol=pickle.HIGHEST_PROTOCOL))
-        assert shared < copied / 10, (copied, shared)
-        clone = pickle.loads(pickle.dumps(population))
-        np.testing.assert_array_equal(clone.arrival_rates,
-                                      population.arrival_rates)
+        path = tmp_path / "events.jsonl"
+        with Tracer(path) as tracer, \
+                use_recorder(ObsRecorder(MetricsRegistry(), tracer)):
+            run_sweep("capacity", [9, 10, 12, 14], n_users=300, jobs=2)
+        records = list(read_events(path))
+        assert [record["seq"] for record in records] == \
+            list(range(len(records)))
+        assert Counter(record["kind"] for record in records) == \
+            {"task.scheduled": 4, "task.completed": 4}
 
 
 class TestCacheStreamingPut:
@@ -429,49 +430,53 @@ class TestCacheStreamingPut:
         assert not hit
 
 
-class TestSharedMemoryEquivalence:
-    """Zero-copy sharing is a transport change, never a numbers change."""
+class TestCacheKeyPins:
+    """Digests and cache keys pinned across commits.
 
-    def test_replications_identical_with_shared_population(self):
-        from repro.population.scenarios import build_scenario
+    A change to how a population, a DES replication task or a sweep
+    point canonicalizes would orphan every cached result.
+    """
+
+    @staticmethod
+    def _stored_keys(directory):
+        return sorted(path.name
+                      for path in (directory / "objects").glob("*/*")
+                      if not path.name.endswith(".meta.json"))
+
+    @staticmethod
+    def _population():
         from repro.population.sampler import sample_population
+        from repro.population.scenarios import build_scenario
+
+        return sample_population(build_scenario("paper-theoretical"), 12,
+                                 rng=7)
+
+    def test_population_digest(self):
+        assert content_digest(self._population()) == (
+            "e39b16fd4cadfc7d9bae5955c55a440e307586ab5d810ae376a2d4cd6e1a6a00")
+
+    def test_replication_task_keys(self, tmp_path):
         from repro.simulation.measurement import MeasurementConfig
         from repro.simulation.system import (
             simulate_system_replicated,
             tro_policies,
         )
 
-        config = MeasurementConfig(horizon=40.0, warmup=8.0, seed=3)
+        population = self._population()
+        simulate_system_replicated(
+            population, tro_policies(2.0, population.size), replications=2,
+            config=MeasurementConfig(horizon=40.0, warmup=8.0, seed=3),
+            cache=ResultCache(tmp_path, version="1.0.0"))
+        assert self._stored_keys(tmp_path) == [
+            "5bb117ed1579dcf95ba11fc2472c938704f763499725afb84c28692690f0234c",
+            "ffa5ba07b5b0fbc9444451e0abc025d6f0f40a3a78377d20ebf9ec3a3457b5fd",
+        ]
 
-        def measure(share):
-            population = sample_population(
-                build_scenario("paper-theoretical"), 12, rng=7)
-            policies = tro_policies(2.0, population.size)
-            return simulate_system_replicated(
-                population, policies, replications=3, config=config,
-                jobs=2, share_population=share)
-
-        plain = measure(False)
-        shared = measure(True)
-        assert shared.utilization.mean == plain.utilization.mean
-        assert shared.utilization.half_width == plain.utilization.half_width
-        assert shared.average_cost.mean == plain.average_cost.mean
-
-    def test_shared_kernel_sweep_rows_identical(self):
+    def test_sweep_point_key(self, tmp_path):
         from repro.sweep import run_sweep
 
-        values = [9.0, 10.0, 12.0]
-        plain = run_sweep("capacity", values, n_users=200, seed=0,
-                          include_dtu=True, jobs=1)
-        shared = run_sweep("capacity", values, n_users=200, seed=0,
-                           include_dtu=True, jobs=2, shared_kernel=True)
-        assert shared.rows == plain.rows
-
-    def test_shared_kernel_sweep_validation(self):
-        from repro.sweep import run_sweep
-
-        with pytest.raises(ValueError, match="capacity"):
-            run_sweep("a-max", [1.0], n_users=50, shared_kernel=True)
-        with pytest.raises(ValueError, match="simulation"):
-            run_sweep("capacity", [10.0], n_users=50, backend="event",
-                      shared_kernel=True)
+        run_sweep("capacity", [10.0], n_users=100, include_dtu=False,
+                  cache=ResultCache(tmp_path, version="1.0.0"))
+        assert self._stored_keys(tmp_path) == [
+            "0844801d4e9cb533de7ef69c27e0b6c6c452bd0ff38d3ad620083dfe150eff97",
+        ]
